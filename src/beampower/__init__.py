@@ -8,10 +8,9 @@ from .channel import (BeamCodebook, ChannelModel, ChannelRealization, PathLossMo
 from .radio import (CodeRateMap, JointCommand, RadioState, apply_power_cmd,
                     decode_action, effective_sinr_db, encode_action, fpa_power_dbm,
                     pcode, reward_value, rx_power_mw, sinr_db, step_beam, sum_rate)
-from .agents import (Experience, PolicyState, QNetwork, QTable, ReplayBuffer,
-                     TrainingDiverged, bellman_target, decay_epsilon, load_weights,
-                     normalize_state, save_weights, select_action, sgd_step,
-                     tabular_update)
+from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
+                     decay_epsilon, load_weights, normalize_state, save_weights,
+                     select_action, sgd_step, tabular_update)
 from .oracle import BruteForceResult, SearchSpace, brute_force, brute_force_per_step
 from .sim import (EpisodeResult, RunResult, StepRecord, TwoCellEnv, ccdf,
                   convergence_episode, best_complete_episode, make_engine,

@@ -8,8 +8,7 @@ fully owned and can be checked against finite differences.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +19,6 @@ from .geometry import Layout
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
-
-
-@dataclass(frozen=True)
-class Experience:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    terminal: bool
 
 
 @dataclass
@@ -79,10 +69,8 @@ class QNetwork:
         return self.w3.shape[0]
 
     def forward(self, s: np.ndarray) -> np.ndarray:
-        """Action values for one state."""
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.n_in,):
-            raise ValueError(f"state must have shape ({self.n_in},), got {s.shape}")
+        """Action values for one state of shape (n_in,); any other length
+        makes the first matmul raise ValueError."""
         h1 = _sigmoid(self.w1 @ s + self.b1)
         h2 = _sigmoid(self.w2 @ h1 + self.b2)
         return self.w3 @ h2 + self.b3
@@ -113,34 +101,28 @@ def select_action(net: QNetwork, s: np.ndarray, policy: PolicyState,
     return int(np.argmax(net.forward(s)))
 
 
-def bellman_target(r: float, s_next: np.ndarray, terminal: bool, net: QNetwork,
-                   discount: float) -> float:
-    """r for terminal transitions, else r + discount * max_a' Q(s', a')."""
-    if terminal:
-        return r
-    return r + discount * float(np.max(net.forward(s_next)))
-
-
-def sgd_step(net: QNetwork, minibatch: list[Experience], discount: float,
-             eta: float) -> tuple[QNetwork, float]:
+def sgd_step(net: QNetwork, states: np.ndarray, actions: np.ndarray,
+             rewards: np.ndarray, next_states: np.ndarray, live: np.ndarray,
+             discount: float, eta: float) -> tuple[QNetwork, float]:
     """One SGD step on the mean squared Bellman error of the minibatch.
 
-    Targets are computed with the current parameters and treated as
-    constants; the gradient flows only through the predictions.  The
-    network is updated in place and returned together with the loss.
+    The minibatch is given row-aligned: states (n, n_in), actions (n,),
+    rewards (n,), next_states (n, n_in) and live (n,), which is False for
+    terminal transitions.  The target is r for terminal rows, else
+    r + discount * max_a' Q(s', a').  Targets are computed with the current
+    parameters and treated as constants; the gradient flows only through
+    the predictions.  The network is updated in place and returned
+    together with the loss.
     """
-    n = len(minibatch)
-    states = np.stack([e.s for e in minibatch])
-    actions = np.array([e.a for e in minibatch])
-    rewards = np.array([e.r for e in minibatch])
-    live = np.array([not e.terminal for e in minibatch])
-    q_next = net.forward_batch(np.stack([e.s_next for e in minibatch]))
+    n = len(actions)
+    rows = np.arange(n)
+    q_next = net.forward_batch(next_states)
     targets = np.where(live, rewards + discount * q_next.max(axis=1), rewards)
 
     h1 = _sigmoid(states @ net.w1.T + net.b1)
     h2 = _sigmoid(h1 @ net.w2.T + net.b2)
     qvals = h2 @ net.w3.T + net.b3
-    picked = qvals[np.arange(n), actions]
+    picked = qvals[rows, actions]
     err = targets - picked
     loss = float(np.mean(err ** 2))
     if not math.isfinite(loss):
@@ -148,7 +130,7 @@ def sgd_step(net: QNetwork, minibatch: list[Experience], discount: float,
 
     # d(loss)/d(q_a) = -2 * err / n, routed to the taken action only
     g3 = np.zeros_like(qvals)
-    g3[np.arange(n), actions] = -2.0 * err / n
+    g3[rows, actions] = -2.0 * err / n
     dw3 = g3.T @ h2
     db3 = g3.sum(axis=0)
     d2 = (g3 @ net.w3) * h2 * (1.0 - h2)
@@ -168,31 +150,61 @@ def sgd_step(net: QNetwork, minibatch: list[Experience], discount: float,
 
 
 class ReplayBuffer:
-    """Ring buffer of experiences with uniform minibatch sampling."""
+    """The last ``capacity`` transitions in preallocated ring arrays, with
+    uniform minibatch sampling.
 
-    def __init__(self, capacity: int):
+    Reproducibility rests on one invariant: logical index 0 is the oldest
+    stored row and ``len(self) - 1`` the newest, whatever ring slot holds
+    them, and ``sample`` draws with the single call
+    ``rng.choice(len(self), size=n, replace=False)`` and returns the rows in
+    drawn order.  A run's RNG stream and minibatches, and so its trace, are
+    the same as those of an oldest-first list of the same transitions.
+    """
+
+    def __init__(self, capacity: int, n_states: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._q = deque(maxlen=capacity)
+        self.capacity = capacity
+        self.s = np.empty((capacity, n_states))
+        self.a = np.empty(capacity, dtype=np.int64)
+        self.r = np.empty(capacity)
+        self.s_next = np.empty((capacity, n_states))
+        self.live = np.empty(capacity, dtype=bool)
+        self._head = 0               # ring slot the next push writes
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._q)
+        return self._count
 
-    def push(self, e: Experience) -> None:
-        self._q.append(e)
+    def push(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray,
+             terminal: bool) -> None:
+        """Store one transition, evicting the oldest when full."""
+        i = self._head
+        self.s[i] = s
+        self.a[i] = a
+        self.r[i] = r
+        self.s_next[i] = s_next
+        self.live[i] = not terminal
+        self._head = (i + 1) % self.capacity
+        self._count = min(self._count + 1, self.capacity)
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Experience]:
-        """n distinct experiences, uniformly without replacement."""
-        if n > len(self._q):
-            raise ValueError(f"cannot sample {n} from buffer of {len(self._q)}")
-        idx = rng.choice(len(self._q), size=n, replace=False)
-        return [self._q[int(i)] for i in idx]
+    def sample(self, n: int, rng: np.random.Generator) -> tuple:
+        """n distinct transitions, uniformly without replacement, as the
+        arrays (states, actions, rewards, next_states, live) that
+        ``sgd_step`` takes."""
+        if n > self._count:
+            raise ValueError(f"cannot sample {n} from buffer of {self._count}")
+        idx = rng.choice(self._count, size=n, replace=False)
+        if self._count == self.capacity:
+            # full: the oldest row sits at the write head
+            idx = (idx + self._head) % self.capacity
+        return self.s[idx], self.a[idx], self.r[idx], self.s_next[idx], self.live[idx]
 
     def adjust_last_reward(self, delta: float) -> None:
-        """Patch the most recent experience's reward (end-of-episode bonus)."""
-        if self._q:
-            e = self._q[-1]
-            self._q[-1] = replace(e, r=e.r + delta)
+        """Add ``delta`` to the newest transition's reward (end-of-episode
+        bonus)."""
+        if self._count:
+            self.r[self._head - 1] += delta
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Conventions
   every engine sees bit-identical mobility and channel traces for the same
   (config, seed).
 * All per-episode randomness (fading, shadowing, walk directions) comes
-  from a substream keyed by (seed, episode); the walk always advances
-  through the full frame even if the radio loop aborts early.
+  from a substream keyed by (seed, episode), and all of it is drawn when
+  the episode begins, so the substream is consumed the same way however
+  early the radio loop aborts.  The walk itself is advanced only as far as
+  a step asks for.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .agents import (Experience, PolicyState, QNetwork, QTable, ReplayBuffer,
-                     decay_epsilon, normalize_state, select_action, sgd_step,
-                     tabular_update)
+from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, decay_epsilon,
+                     normalize_state, select_action, sgd_step, tabular_update)
 from .channel import (ChannelModel, build_codebook, noise_power_dbm,
                       realize_channel, draw_link_fading)
 from .config import ConfigError, NetworkConfig
@@ -121,20 +122,23 @@ class TwoCellEnv:
         self.beams = [0] * self.n_ues
 
         self.episode = -1
-        self._traj = None            # (n_ues, T+1, 2)
+        self._angles = None          # [ue] walk directions, T each
+        self._traj = None            # (n_ues, T+1, 2), valid up to _walked
+        self._walked = 0
         self._fading = None          # [ue][bs]
         self._chan_cache = {}
 
     # ---- episode lifecycle -------------------------------------------------
 
     def begin_episode(self, episode: int | None = None) -> int:
-        """Re-drop the UEs, draw fading, and precompute the full random walk.
+        """Re-drop the UEs and draw the walk directions and fading.
 
         Every episode is an independent trial: positions, path angles, and
         fading all come from a substream keyed by (seed, episode), so the
         trace of episode k is the same whichever engine drove the run and
         episode k can be reconstructed without replaying 0..k-1.  Transmit
         powers and beam indices are the agent's to carry across episodes.
+        The walk is advanced on demand by ``_walk_to``.
         """
         self.episode = self.episode + 1 if episode is None else episode
         rng = np.random.default_rng(
@@ -148,26 +152,36 @@ class TwoCellEnv:
                 if associate(x, y, self.layout) == site.id:
                     break
             self._positions.append((x, y))
-        traj = np.empty((self.n_ues, t + 1, 2))
+        self._angles = [rng.uniform(0.0, 2.0 * math.pi, size=t)
+                        for _ in range(self.n_ues)]
+        self._fading = [[draw_link_fading(self.chan_model, rng)
+                         for _ in self.layout.sites] for _ in range(self.n_ues)]
+        self._traj = np.empty((self.n_ues, t + 1, 2))
+        self._traj[:, 0] = self._positions
+        self._walked = 0
+        self._chan_cache = {}
+        return self.episode
+
+    def _walk_to(self, pos_idx: int) -> None:
+        """Advance every UE's walk until positions 0..pos_idx are known."""
+        if pos_idx <= self._walked:
+            return
+        traj = self._traj
         for u in range(self.n_ues):
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=t)
+            angles = self._angles[u]
             site = self.layout.site(u)
-            x, y = self._positions[u]
-            traj[u, 0] = (x, y)
-            for k in range(t):
+            x, y = float(traj[u, self._walked, 0]), float(traj[u, self._walked, 1])
+            for k in range(self._walked, pos_idx):
                 x += self._step_m * math.cos(angles[k])
                 y += self._step_m * math.sin(angles[k])
                 x, y = reflect_into_cell(x, y, site, self.config.cell_radius_m)
                 traj[u, k + 1] = (x, y)
-        self._fading = [[draw_link_fading(self.chan_model, rng)
-                         for _ in self.layout.sites] for _ in range(self.n_ues)]
-        self._traj = traj
-        self._chan_cache = {}
-        return self.episode
+        self._walked = pos_idx
 
     # ---- per-step views ----------------------------------------------------
 
     def _state_at(self, pos_idx: int) -> np.ndarray:
+        self._walk_to(pos_idx)
         p = self._traj[:, pos_idx]
         return np.array([p[IDX_ELL, 0], p[IDX_ELL, 1], p[IDX_B, 0], p[IDX_B, 1],
                          self.powers_dbm[IDX_ELL], self.powers_dbm[IDX_B],
@@ -183,6 +197,7 @@ class TwoCellEnv:
     def channels(self, k: int):
         """channels[ue][bs] at step k, realised from the episode fading."""
         if k not in self._chan_cache:
+            self._walk_to(k + 1)
             pos = self._traj[:, k + 1]
             self._chan_cache[k] = [
                 [realize_channel(self.chan_model, self._fading[u][b.id], b,
@@ -294,7 +309,7 @@ class DqnEngine:
         self.net = QNetwork.initialize(self.rng, n_in=config.n_states,
                                        width=config.net_width, n_out=config.n_actions)
         self.policy = PolicyState.from_config(config)
-        self.buffer = ReplayBuffer(config.replay_capacity)
+        self.buffer = ReplayBuffer(config.replay_capacity, config.n_states)
         self.n_mb = config.minibatch
         self.eta = config.learning_rate
         self.layout = env.layout
@@ -314,12 +329,11 @@ class DqnEngine:
         return select_action(self.net, self._last_norm, self.policy, self.rng)
 
     def learn(self, s_raw, a, r, s_next_raw, terminal):
-        self.buffer.push(Experience(self._last_norm, a, r,
-                                    self._norm(s_next_raw), terminal))
+        self.buffer.push(self._last_norm, a, r, self._norm(s_next_raw), terminal)
         if len(self.buffer) < self.n_mb:
             return None
-        batch = self.buffer.sample(self.n_mb, self.rng)
-        _, loss = sgd_step(self.net, batch, self.policy.discount, self.eta)
+        _, loss = sgd_step(self.net, *self.buffer.sample(self.n_mb, self.rng),
+                           self.policy.discount, self.eta)
         return loss
 
     def finish_episode(self, bonus: float) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from beampower import cli
-from beampower.agents import Experience, QNetwork, sgd_step, tabular_update
+from beampower.agents import QNetwork, sgd_step, tabular_update
 from beampower.channel import (ChannelModel, build_codebook, noise_power_dbm,
                                sample_channel, steering_vector)
 from beampower.config import NetworkConfig
@@ -290,12 +290,11 @@ def test_acceptance_property_suite():
     # a fixed function of the parameters
     rng = np.random.default_rng(5)
     net = QNetwork.initialize(rng, n_in=8, width=24, n_out=16)
-    batch = [Experience(s=rng.normal(size=8), a=int(rng.integers(0, 16)),
-                        r=float(rng.normal()), s_next=np.zeros(8),
-                        terminal=True) for _ in range(32)]
-    states = np.stack([e.s for e in batch])
-    actions = np.array([e.a for e in batch])
-    targets = np.array([e.r for e in batch])
+    rows = [(rng.normal(size=8), int(rng.integers(0, 16)), float(rng.normal()))
+            for _ in range(32)]
+    states = np.stack([s for s, _, _ in rows])
+    actions = np.array([a for _, a, _ in rows])
+    targets = np.array([r for _, _, r in rows])
 
     def loss_at(theta_flat):
         probe = net.copy()
@@ -308,7 +307,8 @@ def test_acceptance_property_suite():
 
     flat = np.concatenate([p.ravel() for p in net.params()])
     trained = net.copy()
-    sgd_step(trained, batch, discount=0.995, eta=1.0)
+    sgd_step(trained, states, actions, targets, np.zeros((32, 8)),
+             np.zeros(32, dtype=bool), discount=0.995, eta=1.0)
     flat_after = np.concatenate([p.ravel() for p in trained.params()])
     grad = flat - flat_after          # eta = 1, plain SGD
     idx = rng.choice(flat.size, size=25, replace=False)

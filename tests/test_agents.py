@@ -1,19 +1,17 @@
 """Q-network training mechanics, replay memory, and the tabular learner."""
 
-import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from beampower.agents import (
-    Experience,
     PolicyState,
     QNetwork,
     QTable,
     ReplayBuffer,
     TrainingDiverged,
-    bellman_target,
     decay_epsilon,
     load_weights,
     normalize_state,
@@ -62,26 +60,40 @@ def test_forward_shapes():
         net.forward(np.zeros(7))
 
 
+def bellman_target(r: float, s_next: np.ndarray, terminal: bool, net: QNetwork,
+                   discount: float) -> float:
+    """Reference target, one transition at a time: r for terminal
+    transitions, else r + discount * max_a' Q(s', a')."""
+    if terminal:
+        return r
+    return r + discount * float(np.max(net.forward(s_next)))
+
+
 def test_bellman_target_values():
     net = _flat_net(np.array([1.0, 0.25, -2.0]))
     s = np.zeros(8)
     assert bellman_target(2.0, s, False, net, 0.99) == pytest.approx(2.99)
     assert bellman_target(2.0, s, True, net, 0.99) == pytest.approx(2.0)
     assert bellman_target(-50.0, s, True, net, 0.995) == pytest.approx(-50.0)
+    # sgd_step's loss on one transition is (target - Q(s, a))^2, Q(s, 1) = 0.25
+    for live, target in ((True, 2.99), (False, 2.0)):
+        _, loss = sgd_step(net, s[None], np.array([1]), np.array([2.0]), s[None],
+                           np.array([live]), 0.99, 0.0)
+        assert loss == pytest.approx((target - 0.25) ** 2)
 
 
 def _random_batch(rng, n=32):
-    batch = []
-    for _ in range(n):
-        batch.append(Experience(s=rng.normal(size=8), a=int(rng.integers(16)),
-                                r=float(rng.normal()), s_next=rng.normal(size=8),
-                                terminal=bool(rng.integers(2))))
-    return batch
+    """(states, actions, rewards, next_states, live) of n random transitions."""
+    rows = [(rng.normal(size=8), int(rng.integers(16)), float(rng.normal()),
+             rng.normal(size=8), not rng.integers(2)) for _ in range(n)]
+    s, a, r, s_next, live = zip(*rows)
+    return np.stack(s), np.array(a), np.array(r), np.stack(s_next), np.array(live)
 
 
 def _batch_loss(net, batch, targets):
-    q = net.forward_batch(np.stack([e.s for e in batch]))
-    picked = q[np.arange(len(batch)), [e.a for e in batch]]
+    states, actions = batch[0], batch[1]
+    q = net.forward_batch(states)
+    picked = q[np.arange(len(actions)), actions]
     return float(np.mean((targets - picked) ** 2))
 
 
@@ -91,11 +103,12 @@ def test_sgd_step_matches_central_differences():
     rng = np.random.default_rng(42)
     net = _net(7)
     batch = _random_batch(rng)
-    targets = np.array([bellman_target(e.r, e.s_next, e.terminal, net, 0.9)
-                        for e in batch])
+    _, _, rewards, next_states, live = batch
+    targets = np.array([bellman_target(r, s_next, not lv, net, 0.9)
+                        for r, s_next, lv in zip(rewards, next_states, live)])
     eta = 1e-3
     before = [p.copy() for p in net.params()]
-    updated, _ = sgd_step(net, batch, 0.9, eta)
+    updated, _ = sgd_step(net, *batch, 0.9, eta)
     grads = [(b - a) / eta for b, a in zip(before, updated.params())]
 
     probe = np.random.default_rng(3)
@@ -118,10 +131,10 @@ def test_sgd_step_fits_fixed_batch():
     # plain least-squares regression and the loss has to fall
     rng = np.random.default_rng(1)
     net = _net(2)
-    batch = [dataclasses.replace(e, terminal=True) for e in _random_batch(rng, 16)]
+    batch = _random_batch(rng, 16)[:4] + (np.zeros(16, dtype=bool),)
     first = None
     for _ in range(200):
-        net, loss = sgd_step(net, batch, 0.9, 0.05)
+        net, loss = sgd_step(net, *batch, 0.9, 0.05)
         first = loss if first is None else first
     assert loss < 0.5 * first
 
@@ -130,26 +143,62 @@ def test_sgd_step_raises_on_divergence():
     net = _net()
     net.w3[:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
-        sgd_step(net, _random_batch(np.random.default_rng(0), 4), 0.9, 0.01)
+        sgd_step(net, *_random_batch(np.random.default_rng(0), 4), 0.9, 0.01)
 
 
 def test_replay_buffer_eviction_and_sampling():
-    buf = ReplayBuffer(5)
+    buf = ReplayBuffer(5, 8)
     for i in range(8):
-        buf.push(Experience(np.zeros(8), i, float(i), np.zeros(8), False))
+        buf.push(np.full(8, i), i, float(i), np.full(8, -i), False)
     assert len(buf) == 5
-    actions = {e.a for e in buf.sample(5, np.random.default_rng(0))}
-    assert actions == {3, 4, 5, 6, 7}  # oldest three evicted
-    sample = buf.sample(3, np.random.default_rng(1))
-    assert len({id(e) for e in sample}) == 3  # without replacement
+    s, a, r, s_next, live = buf.sample(5, np.random.default_rng(0))
+    assert set(a) == {3, 4, 5, 6, 7}  # oldest three evicted
+    # the rows of one transition stay together
+    assert np.array_equal(s, np.repeat(a[:, None], 8, axis=1))
+    assert np.array_equal(s_next, -s)
+    assert np.array_equal(r, a) and live.all()
+    _, a, *_ = buf.sample(3, np.random.default_rng(1))
+    assert len(set(a)) == 3  # without replacement
+    with pytest.raises(ValueError):
+        buf.sample(6, np.random.default_rng(2))
 
 
 def test_replay_buffer_reward_patch():
-    buf = ReplayBuffer(4)
-    buf.push(Experience(np.zeros(8), 0, 1.0, np.zeros(8), False))
-    buf.push(Experience(np.zeros(8), 1, 2.0, np.zeros(8), True))
+    buf = ReplayBuffer(4, 8)
+    buf.push(np.zeros(8), 0, 1.0, np.zeros(8), False)
+    buf.push(np.zeros(8), 1, 2.0, np.zeros(8), True)
     buf.adjust_last_reward(10.0)
-    assert [e.r for e in buf.sample(2, np.random.default_rng(0))].count(12.0) == 1
+    _, a, r, _, live = buf.sample(2, np.random.default_rng(0))
+    assert sorted(zip(a.tolist(), r.tolist(), live.tolist())) == [
+        (0, 1.0, True), (1, 12.0, False)]
+
+
+@pytest.mark.parametrize("n_push", [19, 21])
+def test_replay_buffer_wraps_like_an_oldest_first_deque(n_push):
+    # after the ring wraps, sampling must still index transitions oldest
+    # first, so the same seed draws the same rows in the same order as a
+    # deque of the transitions; 19 pushes leave the newest row mid-ring,
+    # 21 in the last slot
+    rng = np.random.default_rng(9)
+    buf = ReplayBuffer(7, 8)
+    ref = deque(maxlen=7)
+    for i in range(n_push):
+        row = (rng.normal(size=8), i, float(rng.normal()), rng.normal(size=8),
+               i % 3 == 0)
+        buf.push(*row)
+        ref.append(row)
+    buf.adjust_last_reward(5.0)
+    s, a, r, s_next, terminal = ref[-1]
+    ref[-1] = (s, a, r + 5.0, s_next, terminal)
+    for seed, n in ((0, 7), (1, 4), (2, 4), (3, 1)):
+        got = buf.sample(n, np.random.default_rng(seed))
+        idx = np.random.default_rng(seed).choice(len(ref), size=n, replace=False)
+        want = [ref[int(i)] for i in idx]
+        assert np.array_equal(got[0], np.stack([w[0] for w in want]))
+        assert got[1].tolist() == [w[1] for w in want]
+        assert got[2].tolist() == [w[2] for w in want]
+        assert np.array_equal(got[3], np.stack([w[3] for w in want]))
+        assert got[4].tolist() == [not w[4] for w in want]
 
 
 def test_epsilon_decay_floor():
