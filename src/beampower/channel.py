@@ -9,12 +9,23 @@ channel toward a UE is
 with per-path complex gains alpha_p, departure angles theta_p and an
 amplitude path-loss ratio rho (rho**2 is the linear power loss, antenna
 gains folded in), so that E[||h||^2] = M / rho**2.
+
+A link's random state is drawn once per episode (``draw_link_fading``) and
+folded with everything else that does not depend on the UE position into a
+``PreparedLink``: the path-loss constants, the shadowing, and for an NLOS
+link the whole small-scale sum over its fixed paths.  ``realize_channel``
+then adds only what the position changes: the distance term of the path
+loss and, for a LOS link, the steering vector at the current bearing.
+Every float is computed in the same order as the direct formula, so a
+prepared link gives bit-identical channels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +46,18 @@ def steering_vector(theta: float, m: int, d_over_lambda: float = 0.5) -> np.ndar
     """
     if m < 1:
         raise ValueError(f"antenna count must be >= 1, got {m}")
-    kd = 2.0 * math.pi * d_over_lambda
-    idx = np.arange(m)
-    return np.exp(1j * kd * idx * math.cos(theta)) / math.sqrt(m)
+    return np.exp(_phase_ramp(m, d_over_lambda) * math.cos(theta)) / math.sqrt(m)
+
+
+@lru_cache(maxsize=64)
+def _phase_ramp(m: int, d_over_lambda: float) -> np.ndarray:
+    """The angle-free factor j*2*pi*d/lambda*m of the steering phases.
+
+    Cached per (M, spacing), so it is shared and made read-only.
+    """
+    ramp = 1j * (2.0 * math.pi * d_over_lambda) * np.arange(m)
+    ramp.flags.writeable = False
+    return ramp
 
 
 @dataclass(frozen=True)
@@ -117,32 +137,55 @@ class PathLossModel:
                             config.ci_shadow_los_db, config.ci_shadow_nlos_db)
 
 
-def path_loss_db(model: PathLossModel, distance_m: float, los: bool = True,
-                 rng: np.random.Generator | None = None) -> float:
-    """Median path loss in dB, plus one log-normal shadowing draw if rng given.
+class PathLossTerms(NamedTuple):
+    """A path-loss model split into constants and one distance term:
+
+        PL(d) = intercept_db + slope_db * log10(d / d_ref_m) + offset_db
+
+    in the operation order of the model's formula, so ``at`` is bit-exact.
+    """
+
+    intercept_db: float
+    slope_db: float
+    d_ref_m: float
+    offset_db: float
+    shadow_sigma_db: float
+
+    def at(self, distance_m: float) -> float:
+        return (self.intercept_db + self.slope_db * math.log10(distance_m / self.d_ref_m)
+                + self.offset_db)
+
+
+def path_loss_terms(model: PathLossModel, los: bool = True) -> PathLossTerms:
+    """The distance-free constants of the model.
 
     close_in:  PL = 32.4 + 20*log10(f_GHz) + 10*n*log10(d/1m)
     cost231:   urban Hata extension with the standard mobile-height correction
     """
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
     if model.kind == "close_in":
         n = model.exp_los if los else model.exp_nlos
         f_ghz = model.carrier_mhz / 1e3
-        pl = 32.4 + 20.0 * math.log10(f_ghz) + 10.0 * n * math.log10(distance_m)
         sigma = model.shadow_los_db if los else model.shadow_nlos_db
-    elif model.kind == "cost231":
+        return PathLossTerms(32.4 + 20.0 * math.log10(f_ghz), 10.0 * n, 1.0, 0.0, sigma)
+    if model.kind == "cost231":
         f = model.carrier_mhz
         hb, hm = model.bs_height_m, model.ue_height_m
         a_hm = (1.1 * math.log10(f) - 0.7) * hm - (1.56 * math.log10(f) - 0.8)
-        pl = (46.3 + 33.9 * math.log10(f) - 13.82 * math.log10(hb) - a_hm
-              + (44.9 - 6.55 * math.log10(hb)) * math.log10(distance_m / 1e3)
-              + model.urban_correction_db)
-        sigma = model.shadow_los_db
-    else:
-        raise ValueError(f"unknown path loss model kind {model.kind!r}")
+        return PathLossTerms(46.3 + 33.9 * math.log10(f) - 13.82 * math.log10(hb) - a_hm,
+                             44.9 - 6.55 * math.log10(hb), 1e3,
+                             model.urban_correction_db, model.shadow_los_db)
+    raise ValueError(f"unknown path loss model kind {model.kind!r}")
+
+
+def path_loss_db(model: PathLossModel, distance_m: float, los: bool = True,
+                 rng: np.random.Generator | None = None) -> float:
+    """Median path loss in dB, plus one log-normal shadowing draw if rng given."""
+    if distance_m <= 0:
+        raise ValueError(f"distance must be positive, got {distance_m}")
+    terms = path_loss_terms(model, los)
+    pl = terms.at(distance_m)
     if rng is not None:
-        pl += rng.normal(0.0, sigma)
+        pl += rng.normal(0.0, terms.shadow_sigma_db)
     return pl
 
 
@@ -192,13 +235,30 @@ class LinkFading:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Assembled channel vector plus the quantities it was built from."""
+    """Assembled channel vector."""
 
     h: np.ndarray                    # (M,) complex
-    paths: tuple                     # ((gain, aod), ...)
-    rho: float                       # amplitude path-loss ratio (rho**2 = power loss)
+
+
+class PreparedLink(NamedTuple):
+    """One BS->UE link with its per-episode constants.
+
+    ``h_nlos`` is the small-scale sum over an NLOS link's fixed paths before
+    path loss; a LOS link keeps its single gain and takes the angle from the
+    UE position at every step.
+    """
+
+    site: BsSite
     los: bool
-    n_paths: int
+    loss: PathLossTerms
+    shadow_db: float
+    tx_gain_dbi: float
+    ue_gain_dbi: float
+    m: int
+    d_over_lambda: float
+    sqrt_m: float
+    los_gain: complex | None         # LOS only
+    h_nlos: np.ndarray | None        # (M,) complex, NLOS only
 
 
 def draw_link_fading(model: ChannelModel, rng: np.random.Generator) -> LinkFading:
@@ -222,30 +282,43 @@ def bearing(site: BsSite, x: float, y: float) -> float:
     return abs(math.atan2(y - site.y, x - site.x))
 
 
-def realize_channel(model: ChannelModel, fading: LinkFading, site: BsSite,
-                    ue_x: float, ue_y: float, m: int) -> ChannelRealization:
+def prepare_link(model: ChannelModel, fading: LinkFading, site: BsSite,
+                 m: int) -> PreparedLink:
+    """Fold one episode's fading draw and the model constants into a link."""
+    h_nlos = None
+    if not fading.los:
+        h_nlos = np.zeros(m, dtype=complex)
+        for g, aod in zip(fading.gains, fading.aods):
+            h_nlos += g * steering_vector(aod, m, model.d_over_lambda)
+    return PreparedLink(site=site, los=fading.los,
+                        loss=path_loss_terms(model.path_loss, fading.los),
+                        shadow_db=fading.shadow_db, tx_gain_dbi=model.tx_gain_dbi,
+                        ue_gain_dbi=model.ue_gain_dbi, m=m,
+                        d_over_lambda=model.d_over_lambda, sqrt_m=math.sqrt(m),
+                        los_gain=fading.gains[0] if fading.los else None,
+                        h_nlos=h_nlos)
+
+
+def realize_channel(link: PreparedLink, ue_x: float, ue_y: float) -> ChannelRealization:
     """Build the channel vector at the current UE position.
 
     Path loss follows the instantaneous distance; the LOS angle follows the
     instantaneous bearing, so the channel tracks the mobility.
     """
+    site = link.site
     d = math.hypot(ue_x - site.x, ue_y - site.y)
-    pl = path_loss_db(model.path_loss, d, fading.los)
-    pl_eff = pl + fading.shadow_db - model.tx_gain_dbi - model.ue_gain_dbi
+    pl_eff = link.loss.at(d) + link.shadow_db - link.tx_gain_dbi - link.ue_gain_dbi
     rho = 10.0 ** (pl_eff / 20.0)
-    if fading.los:
-        aods = np.array([bearing(site, ue_x, ue_y)])
+    if link.los:
+        small = link.los_gain * steering_vector(bearing(site, ue_x, ue_y), link.m,
+                                                link.d_over_lambda)
     else:
-        aods = fading.aods
-    h = np.zeros(m, dtype=complex)
-    for g, aod in zip(fading.gains, aods):
-        h += g * steering_vector(aod, m, model.d_over_lambda)
-    h *= math.sqrt(m) / rho
-    return ChannelRealization(h=h, paths=tuple(zip(fading.gains, aods)),
-                              rho=rho, los=fading.los, n_paths=len(fading.gains))
+        small = link.h_nlos
+    return ChannelRealization(h=small * (link.sqrt_m / rho))
 
 
 def sample_channel(model: ChannelModel, site: BsSite, ue_x: float, ue_y: float,
                    m: int, rng: np.random.Generator) -> ChannelRealization:
     """Draw fading and realise the channel in one go."""
-    return realize_channel(model, draw_link_fading(model, rng), site, ue_x, ue_y, m)
+    return realize_channel(prepare_link(model, draw_link_fading(model, rng), site, m),
+                           ue_x, ue_y)

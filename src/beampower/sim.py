@@ -14,6 +14,11 @@ Conventions
   the episode begins, so the substream is consumed the same way however
   early the radio loop aborts.  The walk itself is advanced only as far as
   a step asks for.
+* Each BS->UE link is prepared once per episode from its fading draw
+  (:func:`beampower.channel.prepare_link`): path-loss constants, shadowing
+  and, for an NLOS link, the small-scale sum over its fixed paths.  A step
+  realises the four links at the current positions, which costs a distance,
+  a path-loss term and a scale (plus one steering vector for a LOS link).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, decay_epsilon,
                      normalize_state, select_action, sgd_step, tabular_update)
-from .channel import (ChannelModel, build_codebook, noise_power_dbm,
+from .channel import (ChannelModel, build_codebook, noise_power_dbm, prepare_link,
                       realize_channel, draw_link_fading)
 from .config import ConfigError, NetworkConfig
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
@@ -125,13 +130,13 @@ class TwoCellEnv:
         self._angles = None          # [ue] walk directions, T each
         self._traj = None            # (n_ues, T+1, 2), valid up to _walked
         self._walked = 0
-        self._fading = None          # [ue][bs]
+        self._links = None           # [ue][bs] PreparedLink
         self._chan_cache = {}
 
     # ---- episode lifecycle -------------------------------------------------
 
     def begin_episode(self, episode: int | None = None) -> int:
-        """Re-drop the UEs and draw the walk directions and fading.
+        """Re-drop the UEs, draw the walk directions and prepare the links.
 
         Every episode is an independent trial: positions, path angles, and
         fading all come from a substream keyed by (seed, episode), so the
@@ -154,8 +159,9 @@ class TwoCellEnv:
             self._positions.append((x, y))
         self._angles = [rng.uniform(0.0, 2.0 * math.pi, size=t)
                         for _ in range(self.n_ues)]
-        self._fading = [[draw_link_fading(self.chan_model, rng)
-                         for _ in self.layout.sites] for _ in range(self.n_ues)]
+        self._links = [[prepare_link(self.chan_model, draw_link_fading(self.chan_model, rng),
+                                     site, self.m)
+                        for site in self.layout.sites] for _ in range(self.n_ues)]
         self._traj = np.empty((self.n_ues, t + 1, 2))
         self._traj[:, 0] = self._positions
         self._walked = 0
@@ -195,15 +201,12 @@ class TwoCellEnv:
         return self._state_at(min(k + 2, self.t_steps))
 
     def channels(self, k: int):
-        """channels[ue][bs] at step k, realised from the episode fading."""
+        """channels[ue][bs] at step k, realised from the episode's links."""
         if k not in self._chan_cache:
             self._walk_to(k + 1)
-            pos = self._traj[:, k + 1]
-            self._chan_cache[k] = [
-                [realize_channel(self.chan_model, self._fading[u][b.id], b,
-                                 pos[u, 0], pos[u, 1], self.m)
-                 for b in self.layout.sites]
-                for u in range(self.n_ues)]
+            pos = self._traj[:, k + 1].tolist()
+            self._chan_cache[k] = [[realize_channel(link, *pos[u]) for link in links]
+                                   for u, links in enumerate(self._links)]
         return self._chan_cache[k]
 
     def radio_state(self, k: int) -> RadioState:
@@ -316,9 +319,14 @@ class DqnEngine:
         self.m = env.m
         self.p_max = config.max_power_dbm
         self._last_norm = None
+        self._memo = (None, None)    # (raw array, its normalised state)
 
     def _norm(self, raw):
-        return normalize_state(raw, self.layout, self.m, self.p_max)
+        # run_episode hands act the same array that learn normalised as the
+        # previous step's next state; reuse it by identity
+        if raw is not self._memo[0]:
+            self._memo = (raw, normalize_state(raw, self.layout, self.m, self.p_max))
+        return self._memo[1]
 
     def begin_episode(self, env: TwoCellEnv) -> None:
         pass
@@ -356,10 +364,14 @@ class TabularEngine:
         self.p_max = config.max_power_dbm
         self._last_idx = None
         self._last_update = None
+        self._memo = (None, None)    # (raw array, its table index)
 
     def _index(self, raw):
-        return self.table.state_index(
-            normalize_state(raw, self.layout, self.m, self.p_max))
+        # the same reuse by identity as DqnEngine._norm
+        if raw is not self._memo[0]:
+            self._memo = (raw, self.table.state_index(
+                normalize_state(raw, self.layout, self.m, self.p_max)))
+        return self._memo[1]
 
     def begin_episode(self, env: TwoCellEnv) -> None:
         pass
@@ -425,8 +437,10 @@ def run_episode(env: TwoCellEnv, engine, t_steps: int | None = None,
     all_meet = True
     decision_s = 0.0
     wall0 = time.perf_counter()
+    s_next_raw = None
     for k in range(t_steps):
-        s_raw = env.observe(k)
+        # a continuing step's next state is the state the following step sees
+        s_raw = env.observe(k) if k == 0 else s_next_raw
         t0 = time.perf_counter()
         a = engine.act(env, k, s_raw)
         decision_s += time.perf_counter() - t0

@@ -15,6 +15,7 @@ from beampower.channel import (
     draw_link_fading,
     noise_power_dbm,
     path_loss_db,
+    prepare_link,
     realize_channel,
     sample_channel,
     steering_vector,
@@ -37,6 +38,18 @@ def test_steering_known_entries():
     # M=4 at 60 degrees: phase step pi/2 per element
     v4 = steering_vector(math.pi / 3.0, 4)
     assert v4 == pytest.approx(np.array([1.0, 1j, -1.0, -1j]) / 2.0)
+
+
+def test_steering_vector_matches_direct_formula_bit_for_bit():
+    # the cached phase ramp must not change a single float
+    for m in CODEBOOK_SIZES:
+        for d_over_lambda in (0.5, 0.37):
+            kd = 2.0 * math.pi * d_over_lambda
+            for theta in np.linspace(0.0, math.pi, 23):
+                direct = np.exp(1j * kd * np.arange(m) * math.cos(theta)) / math.sqrt(m)
+                assert np.array_equal(steering_vector(theta, m, d_over_lambda), direct)
+    with pytest.raises(ValueError):
+        steering_vector(0.0, 0)
 
 
 def test_codebook_layout():
@@ -110,7 +123,7 @@ def test_direct_path_matches_its_codebook_beam():
             fad = LinkFading(los=True, gains=np.array([1.0 + 0.0j]),
                              aods=np.array([theta]), shadow_db=0.0)
             x, y = 100.0 * math.cos(theta), 100.0 * math.sin(theta)
-            ch = realize_channel(model, fad, site, x, y, m)
+            ch = realize_channel(prepare_link(model, fad, site, m), x, y)
             gains = [abs(np.vdot(ch.h, cb.beam(k))) for k in range(m)]
             assert int(np.argmax(gains)) == n
 
@@ -135,8 +148,12 @@ def test_channel_power_tracks_amplitude_ratio():
     rng = np.random.default_rng(19)
     vals = []
     for _ in range(4000):
-        ch = sample_channel(model, site, 80.0, 35.0, 8, rng)
-        vals.append(float(np.vdot(ch.h, ch.h).real) * ch.rho**2 / 8.0)
+        fad = draw_link_fading(model, rng)
+        ch = realize_channel(prepare_link(model, fad, site, 8), 80.0, 35.0)
+        pl_eff = (path_loss_db(model.path_loss, math.hypot(80.0, 35.0), fad.los)
+                  + fad.shadow_db - model.tx_gain_dbi - model.ue_gain_dbi)
+        rho = 10.0 ** (pl_eff / 20.0)
+        vals.append(float(np.vdot(ch.h, ch.h).real) * rho**2 / 8.0)
     assert np.mean(vals) == pytest.approx(1.0, rel=0.05)
 
 

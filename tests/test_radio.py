@@ -49,8 +49,7 @@ def test_rx_power_known_case():
 
 
 def _chan(amp: float) -> ChannelRealization:
-    h = np.array([amp + 0.0j])
-    return ChannelRealization(h=h, paths=(), rho=1.0, los=True, n_paths=1)
+    return ChannelRealization(h=np.array([amp + 0.0j]))
 
 
 def _two_cell_state(p0=40.0, p1=40.0):

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from beampower import sim
+from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_loss_db,
+                               path_loss_terms, steering_vector)
 from beampower.config import ConfigError, NetworkConfig
 from beampower.sim import (
     TwoCellEnv,
@@ -88,12 +91,99 @@ def test_walk_does_not_depend_on_read_order():
             assert math.hypot(x - site.x, y - site.y) <= cfg.cell_radius_m + 1e-9
 
 
+@pytest.fixture
+def link_draws(monkeypatch):
+    """Every LinkFading the simulator draws, in draw order."""
+    draws = []
+
+    def recording(model, rng):
+        draws.append(draw_link_fading(model, rng))
+        return draws[-1]
+
+    monkeypatch.setattr(sim, "draw_link_fading", recording)
+    return draws
+
+
+def _reference_channel(model, fading, site, x, y, m):
+    # the direct per-step formula that prepared links replace
+    d = math.hypot(x - site.x, y - site.y)
+    pl_eff = (path_loss_db(model.path_loss, d, fading.los) + fading.shadow_db
+              - model.tx_gain_dbi - model.ue_gain_dbi)
+    rho = 10.0 ** (pl_eff / 20.0)
+    aods = np.array([bearing(site, x, y)]) if fading.los else fading.aods
+    h = np.zeros(m, dtype=complex)
+    for g, aod in zip(fading.gains, aods):
+        h += g * steering_vector(aod, m, model.d_over_lambda)
+    h *= math.sqrt(m) / rho
+    return h
+
+
+@pytest.mark.parametrize("q, m, p_los", [
+    (0, 1, None), (0, 1, 0.0), (0, 1, 1.0),
+    (1, 4, None), (1, 8, 0.0), (1, 8, 1.0), (1, 16, None),
+])
+def test_prepared_links_match_direct_formula_bit_for_bit(link_draws, q, m, p_los):
+    extra = {} if p_los is None else {"p_los": p_los}
+    cfg = NetworkConfig(q=q, m_list=(m,), **extra)
+    model = ChannelModel.from_config(cfg)
+    kinds = set()
+    for seed in (2, 9):
+        env = TwoCellEnv(cfg, m, seed)
+        for episode in (0, 1, 5):
+            del link_draws[:]
+            env.begin_episode(episode)
+            fading = [link_draws[0:2], link_draws[2:4]]   # [ue][bs], drawn in that order
+            kinds.update(f.los for f in link_draws)
+            for k in range(env.t_steps):
+                pos = env.observe(k)[:4]
+                chans = env.channels(k)
+                for u in range(2):
+                    for b, site in enumerate(env.layout.sites):
+                        ref = _reference_channel(model, fading[u][b], site,
+                                                 pos[2 * u], pos[2 * u + 1], m)
+                        assert np.array_equal(chans[u][b].h, ref)
+    assert kinds == ({True, False} if p_los is None else {p_los == 1.0})
+
+
+def _reference_path_loss_db(model, d, los):
+    # the model formulas written out in one expression each
+    if model.kind == "close_in":
+        n = model.exp_los if los else model.exp_nlos
+        return 32.4 + 20.0 * math.log10(model.carrier_mhz / 1e3) + 10.0 * n * math.log10(d)
+    f, hb, hm = model.carrier_mhz, model.bs_height_m, model.ue_height_m
+    a_hm = (1.1 * math.log10(f) - 0.7) * hm - (1.56 * math.log10(f) - 0.8)
+    return (46.3 + 33.9 * math.log10(f) - 13.82 * math.log10(hb) - a_hm
+            + (44.9 - 6.55 * math.log10(hb)) * math.log10(d / 1e3)
+            + model.urban_correction_db)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_path_loss_split_is_exact(q):
+    model = ChannelModel.from_config(NetworkConfig(q=q)).path_loss
+    for los in (True, False):
+        terms = path_loss_terms(model, los)
+        for d in np.logspace(-1.0, 4.0, 151).tolist():
+            ref = _reference_path_loss_db(model, d, los)
+            assert terms.at(d) == ref
+            assert path_loss_db(model, d, los) == ref
+
+
 def _token(v) -> str:
     if isinstance(v, float):
         return v.hex()
     if isinstance(v, tuple):
         return "(" + ",".join(_token(x) for x in v) + ")"
     return repr(v)
+
+
+def _run_digest(run) -> str:
+    digest = hashlib.sha256()
+    for ep in run.episodes:
+        for s in ep.steps:
+            digest.update(_token((ep.index, s.t, s.action, s.reward, s.sinr_db,
+                                  s.eff_sinr_db, s.powers_dbm, s.beams,
+                                  s.loss)).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def test_dqn_run_matches_pinned_fingerprint():
@@ -103,16 +193,22 @@ def test_dqn_run_matches_pinned_fingerprint():
     cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(3,), m_list=(8,),
                         episode_cap=40)
     run = run_experiment(cfg, 8, 3, "dqn", stop_on_convergence=False)
-    digest = hashlib.sha256()
-    for ep in run.episodes:
-        for s in ep.steps:
-            digest.update(_token((ep.index, s.t, s.action, s.reward, s.sinr_db,
-                                  s.eff_sinr_db, s.powers_dbm, s.beams,
-                                  s.loss)).encode() + b"\n")
     steps = [s for ep in run.episodes for s in ep.steps]
     assert sum(s.loss is not None for s in steps) > 0   # the learner trained
-    assert digest.hexdigest() == (
+    assert _run_digest(run) == (
         "487613c219c6554909ce2c443778d23f604c4e9f258626c5a6040494f22978d0")
+
+
+def test_voice_run_matches_pinned_fingerprint(link_draws):
+    # the sub-6 GHz counterpart of the dqn pin: COST231 path loss, 15-path
+    # NLOS links and the tabular learner, at q=0 M=1
+    cfg = NetworkConfig(q=0, engines=("tabular",), seeds=(3,), episode_cap=40)
+    run = run_experiment(cfg, 1, 3, "tabular", stop_on_convergence=False)
+    assert len(link_draws) == 4 * 40
+    assert any(not f.los for f in link_draws)
+    assert any(f.los for f in link_draws)
+    assert _run_digest(run) == (
+        "d8878a1485b6fff96872a11969bcb95af7f083b2f4b55c810e1b4edeabfb9559")
 
 
 def test_replay_matches_live_channels():
