@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -261,22 +260,3 @@ class QTable:
             b = min(max(b, 0), self.bins - 1)
             idx = idx * self.bins + b
         return idx
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-
-def save_weights(net: QNetwork, path: str | Path, config_hash: str = "",
-                 seed: int = 0, episode: int = 0) -> None:
-    np.savez(path, w1=net.w1, b1=net.b1, w2=net.w2, b2=net.b2, w3=net.w3,
-             b3=net.b3, meta=np.array([config_hash, str(seed), str(episode)]))
-
-
-def load_weights(path: str | Path) -> tuple[QNetwork, dict]:
-    data = np.load(path, allow_pickle=False)
-    net = QNetwork(data["w1"], data["b1"], data["w2"], data["b2"],
-                   data["w3"], data["b3"])
-    meta = data["meta"]
-    return net, {"config_hash": str(meta[0]), "seed": int(meta[1]),
-                 "episode": int(meta[2])}

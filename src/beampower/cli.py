@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import functools
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import sim
-from .channel import build_codebook, steering_vector
-from .config import ConfigError, NetworkConfig
+from .channel import steering_vector
+from .config import ConfigError, NetworkConfig, text_hash
 from .geometry import build_layout
-from .radio import (JointCommand, apply_power_cmd, decode_action, encode_action,
-                    pcode)
+from .radio import apply_power_cmd, decode_action, encode_action, pcode
 
 OUT_ENV_VAR = "BEAMPOWER_OUT"
 
@@ -44,9 +44,8 @@ def _load_config(args) -> NetworkConfig:
     return cfg.replace(**over) if over else cfg
 
 
-def _run_job(cfg_text: str, m: int, seed: int, engine: str):
+def _run_job(config: NetworkConfig, m: int, seed: int, engine: str):
     """Executed in a worker process; returns everything the parent writes."""
-    config = NetworkConfig.from_text(cfg_text)
     run = sim.run_experiment(config, m, seed, engine)
     best = sim.best_complete_episode(run.episodes)
     samples = best.eff_sinr_samples() if best is not None else []
@@ -59,20 +58,19 @@ def _run_job(cfg_text: str, m: int, seed: int, engine: str):
 
 
 def _write_run_outputs(out: Path, config: NetworkConfig, results: list) -> None:
+    # the layout does not depend on M, so one header serves every trace
+    cfg_text = config.to_text()
+    cfg_hash = text_hash(cfg_text)
+    header = sim.trace_header(cfg_text, build_layout(config))
     rows = []
-    for res in sorted(results, key=lambda r: r["key"]):
+    for res in results:
         engine, m, seed = res["key"]
-        layout = build_layout(config, m)
         stem = f"{engine}_M{m}_s{seed}"
-        trace_path = out / f"trace_{stem}.csv"
-        lines = sim.trace_header(config, layout)
-        lines.append(",".join(sim.TRACE_COLUMNS))
-        lines.extend(res["trace_rows"])
-        trace_path.write_text("\n".join(lines) + "\n")
+        sim.write_trace(out / f"trace_{stem}.csv", header, res["trace_rows"])
         summary = res["summary"]
         if res["samples"]:
             ccdf_path = out / f"ccdf_{stem}.csv"
-            body = [f"# config_hash = {config.config_hash()}", "eff_sinr_db"]
+            body = [f"# config_hash = {cfg_hash}", "eff_sinr_db"]
             body += [format(x, ".10g") for x in res["samples"]]
             ccdf_path.write_text("\n".join(body) + "\n")
             summary["ccdf_file"] = ccdf_path.name
@@ -128,26 +126,26 @@ def cmd_run(args, force_engines: tuple | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(engine, m, seed) for engine in config.engines
             for m in config.m_list for seed in config.seeds]
-    cfg_text = config.to_text()
     results = []
     failed = None
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futs = {pool.submit(_run_job, cfg_text, m, seed, engine): (engine, m, seed)
-                    for engine, m, seed in jobs}
-            for fut in concurrent.futures.as_completed(futs):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:          # pragma: no cover - worker crash
-                    failed = (futs[fut], exc)
-    else:
-        for engine, m, seed in jobs:
+    # one loop in job order, serial or parallel: the first failing job
+    # stops the run, and only the jobs before it are written
+    with contextlib.ExitStack() as stack:
+        if args.workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=args.workers))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            outcomes = [pool.submit(_run_job, config, m, seed, engine).result
+                        for engine, m, seed in jobs]
+        else:
+            outcomes = [functools.partial(_run_job, config, m, seed, engine)
+                        for engine, m, seed in jobs]
+        for job, outcome in zip(jobs, outcomes):
             try:
-                results.append(_run_job(cfg_text, m, seed, engine))
+                results.append(outcome())
             except Exception as exc:
-                failed = ((engine, m, seed), exc)
+                failed = (job, exc)
                 break
-    # flush whatever completed, even on failure
     if results:
         _write_run_outputs(out, config, results)
     if failed:

@@ -45,11 +45,8 @@ class NetworkConfig:
     q: int = 0
 
     # geometry
-    l_bs: int = 2
     cell_radius_m: float | None = None
     intersite_factor: float = 1.5
-    n_ue_max: int = 10
-    n_ues_per_bs: int = 1
 
     # radio
     max_power_dbm: float = 46.0
@@ -96,7 +93,6 @@ class NetworkConfig:
     n_states: int = 8
     n_actions: int = 16
     net_width: int = 24
-    net_depth: int = 2
     minibatch: int = 32
     learning_rate: float = 0.003
     replay_capacity: int = 10_000
@@ -108,7 +104,6 @@ class NetworkConfig:
     # adaptive code rate (voice)
     code_rate_thresholds_db: tuple[float, ...] = (0.0, 5.0)
     code_rate_betas: tuple[float, ...] = (1.0 / 3.0, 0.5, 1.0)
-    amr_rate_kbps: float = 23.85
     voice_activity: float = 0.8
 
     # power allocation
@@ -143,8 +138,6 @@ class NetworkConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def _validate(self):
-        if self.l_bs < 2:
-            raise ConfigError(f"l_bs must be >= 2, got {self.l_bs}")
         if self.cell_radius_m <= 0:
             raise ConfigError(f"cell_radius_m must be positive, got {self.cell_radius_m}")
         if not 0 < self.intersite_factor < 2:
@@ -163,9 +156,6 @@ class NetworkConfig:
                 raise ConfigError(f"unknown engine {e!r}, expected one of {ALLOWED_ENGINES}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if not 1 <= self.n_ues_per_bs <= self.n_ue_max:
-            raise ConfigError(
-                f"n_ues_per_bs must be in [1, {self.n_ue_max}], got {self.n_ues_per_bs}")
         if self.minibatch < 1:
             raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
         # hidden width rule: H = sqrt((|A| + 2) * N_mb)
@@ -174,8 +164,6 @@ class NetworkConfig:
             raise ConfigError(
                 f"net_width={self.net_width} violates the width rule "
                 f"sqrt((n_actions+2)*minibatch) = {want:g}")
-        if self.net_depth != 2:
-            raise ConfigError(f"net_depth must be 2, got {self.net_depth}")
         if not 0 <= self.eps_min <= self.eps_initial <= 1:
             raise ConfigError("need 0 <= eps_min <= eps_initial <= 1")
         if not 0 < self.eps_decay <= 1:
@@ -236,7 +224,7 @@ class NetworkConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+        return text_hash(self.to_text())
 
     @classmethod
     def from_text(cls, text: str) -> "NetworkConfig":
@@ -263,6 +251,11 @@ class NetworkConfig:
         return cls.from_text(p.read_text())
 
 
+def text_hash(config_text: str) -> str:
+    """The ``config_hash`` of a config serialised as ``config_text``."""
+    return hashlib.sha256(config_text.encode()).hexdigest()[:12]
+
+
 def _format_value(v) -> str:
     if v is None:
         return "none"
@@ -277,8 +270,8 @@ def _format_value(v) -> str:
 
 # per-field scalar parsers; tuple fields list their element parser
 _FIELD_TYPES = {
-    "q": int, "l_bs": int, "cell_radius_m": float, "intersite_factor": float,
-    "n_ue_max": int, "n_ues_per_bs": int, "max_power_dbm": float,
+    "q": int, "cell_radius_m": float, "intersite_factor": float,
+    "max_power_dbm": float,
     "carrier_mhz": float, "tx_gain_dbi": float, "ue_gain_dbi": float,
     "p_los": float, "n_paths_nlos": int, "ue_speed_kmh": float,
     "frame_steps": int, "step_ms": float, "m_list": (int,),
@@ -290,11 +283,11 @@ _FIELD_TYPES = {
     "noise_figure_db": float, "bandwidth_hz": float,
     "gamma_target_voice_db": float, "gamma_min_db": float, "gamma0_bf_db": float,
     "discount": float, "eps_initial": float, "eps_decay": float, "eps_min": float,
-    "n_states": int, "n_actions": int, "net_width": int, "net_depth": int,
+    "n_states": int, "n_actions": int, "net_width": int,
     "minibatch": int, "learning_rate": float, "replay_capacity": int,
     "r_min": float, "r_max": float, "tabular_alpha": float, "tabular_bins": int,
     "code_rate_thresholds_db": (float,), "code_rate_betas": (float,),
-    "amr_rate_kbps": float, "voice_activity": float,
+    "voice_activity": float,
     "n_prb_total": int, "n_prb_ue": int,
     "power_floor_dbm": float, "initial_power_dbm": float,
     "oracle_power_grid": (float,),

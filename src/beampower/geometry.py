@@ -1,16 +1,13 @@
-"""Cell layout, user drops and random-direction mobility."""
+"""Two-cell layout, user drops and the reflected random walk."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig
-
-BAND_SUB6 = "sub6"
-BAND_MMWAVE = "mmwave"
+from .config import NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -20,21 +17,6 @@ class BsSite:
     id: int
     x: float
     y: float
-    max_power_dbm: float
-    m: int            # antenna count
-    band: str         # "sub6" or "mmwave"
-
-
-@dataclass(frozen=True)
-class Ue:
-    """A user terminal. ``serving_bs`` is frozen for the lifetime of a drop."""
-
-    id: int
-    x: float
-    y: float
-    speed_kmh: float
-    serving_bs: int
-    q: int
 
 
 @dataclass(frozen=True)
@@ -47,33 +29,11 @@ class Layout:
         return self.sites[sid]
 
 
-def build_layout(config: NetworkConfig, m: int | None = None) -> Layout:
-    """Place L sites with neighbour spacing R = intersite_factor * r.
-
-    Two sites sit on a line; more sit on a ring with chord spacing R.
-    """
-    r = config.cell_radius_m
+def build_layout(config: NetworkConfig) -> Layout:
+    """Place the two sites on a line, R = intersite_factor * r apart."""
     big_r = config.intersite_m
-    if r <= 0:
-        raise ConfigError(f"cell radius must be positive, got {r}")
-    if config.l_bs < 2:
-        raise ConfigError(f"need at least two sites, got {config.l_bs}")
-    if m is None:
-        m = config.m_list[0]
-    band = BAND_SUB6 if config.q == 0 else BAND_MMWAVE
-    positions = []
-    if config.l_bs == 2:
-        positions = [(0.0, 0.0), (big_r, 0.0)]
-    else:
-        ring = big_r / (2.0 * math.sin(math.pi / config.l_bs))
-        for k in range(config.l_bs):
-            ang = 2.0 * math.pi * k / config.l_bs
-            positions.append((ring * math.cos(ang), ring * math.sin(ang)))
-    sites = tuple(
-        BsSite(id=k, x=px, y=py, max_power_dbm=config.max_power_dbm, m=m, band=band)
-        for k, (px, py) in enumerate(positions)
-    )
-    return Layout(sites=sites, cell_radius_m=r, intersite_m=big_r)
+    sites = (BsSite(id=0, x=0.0, y=0.0), BsSite(id=1, x=big_r, y=0.0))
+    return Layout(sites=sites, cell_radius_m=config.cell_radius_m, intersite_m=big_r)
 
 
 def uniform_disk_point(rng: np.random.Generator, cx: float, cy: float, r: float):
@@ -93,39 +53,9 @@ def associate(x: float, y: float, layout: Layout) -> int:
     return best
 
 
-def drop_ues(layout: Layout, n_per_bs: int, q: int, speed_kmh: float,
-             rng: np.random.Generator, n_ue_max: int = 10) -> list[Ue]:
-    """Drop ``n_per_bs`` UEs uniformly over each cell disk.
-
-    The serving site is then set by the nearest-site rule, which in the
-    overlap region may differ from the disk the UE was dropped in.
-    """
-    if not 1 <= n_per_bs <= n_ue_max:
-        raise ConfigError(f"n_per_bs must be in [1, {n_ue_max}], got {n_per_bs}")
-    ues = []
-    uid = 0
-    for s in layout.sites:
-        for _ in range(n_per_bs):
-            x, y = uniform_disk_point(rng, s.x, s.y, layout.cell_radius_m)
-            ues.append(Ue(id=uid, x=x, y=y, speed_kmh=speed_kmh,
-                          serving_bs=associate(x, y, layout), q=q))
-            uid += 1
-    return ues
-
-
 def mobility_step_m(speed_kmh: float, dt_s: float) -> float:
     """Displacement per step for a speed in km/h."""
     return speed_kmh / 3.6 * dt_s
-
-
-def step_mobility(ue: Ue, layout: Layout, dt_s: float, rng: np.random.Generator) -> Ue:
-    """One random-direction move, reflected at the serving-cell boundary."""
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    step = mobility_step_m(ue.speed_kmh, dt_s)
-    x = ue.x + step * math.cos(ang)
-    y = ue.y + step * math.sin(ang)
-    x, y = reflect_into_cell(x, y, layout.site(ue.serving_bs), layout.cell_radius_m)
-    return replace(ue, x=x, y=y)
 
 
 def reflect_into_cell(x: float, y: float, site: BsSite, r: float):

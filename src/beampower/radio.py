@@ -46,11 +46,8 @@ def rx_power_mw(p_tx_dbm: float, h: np.ndarray, f: np.ndarray) -> float:
 
 @dataclass
 class RadioState:
-    """Snapshot of both links at one step.
-
-    UE j is served by BS ``serving[j]`` (defaults to BS j); every other BS
-    interferes.
-    """
+    """Snapshot of both links at one step: UE j is served by BS j and the
+    other BS interferes."""
 
     powers_dbm: tuple
     beams: tuple
@@ -58,24 +55,16 @@ class RadioState:
     codebook: BeamCodebook
     noise_mw: float
     q: int
-    serving: tuple = ()
-
-    def __post_init__(self):
-        if not self.serving:
-            self.serving = tuple(range(len(self.powers_dbm)))
 
 
 def sinr_db(state: RadioState, ue: int) -> float:
     """Serving power over noise plus inter-cell interference, in dB."""
-    srv = state.serving[ue]
-    num = rx_power_mw(state.powers_dbm[srv], state.channels[ue][srv].h,
-                      state.codebook.beam(state.beams[srv]))
-    den = state.noise_mw
-    for b in range(len(state.powers_dbm)):
-        if b == srv:
-            continue
-        den += rx_power_mw(state.powers_dbm[b], state.channels[ue][b].h,
-                           state.codebook.beam(state.beams[b]))
+    num = rx_power_mw(state.powers_dbm[ue], state.channels[ue][ue].h,
+                      state.codebook.beam(state.beams[ue]))
+    other = 1 - ue
+    den = state.noise_mw + rx_power_mw(state.powers_dbm[other],
+                                       state.channels[ue][other].h,
+                                       state.codebook.beam(state.beams[other]))
     return lin_to_db(num / den)
 
 
@@ -85,15 +74,11 @@ class CodeRateMap:
 
     thresholds_db: tuple = (0.0, 5.0)
     betas: tuple = (1.0 / 3.0, 0.5, 1.0)
-    codec_rate_kbps: float = 23.85
-    activity: float = 0.8
 
     @classmethod
     def from_config(cls, config: NetworkConfig) -> "CodeRateMap":
         return cls(thresholds_db=config.code_rate_thresholds_db,
-                   betas=config.code_rate_betas,
-                   codec_rate_kbps=config.amr_rate_kbps,
-                   activity=config.voice_activity)
+                   betas=config.code_rate_betas)
 
     def beta(self, sinr: float) -> float:
         for t, b in zip(self.thresholds_db, self.betas):

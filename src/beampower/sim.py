@@ -5,10 +5,9 @@ Conventions
 -----------
 * BS 0 is "l" (serves UE 0), BS 1 is "b" (serves UE 1); the action register
   addresses them as described in :mod:`beampower.radio`.
-* One UE is active per BS.  UEs are dropped once per run; their random walk
-  carries across episodes and does not depend on any engine decision, so
-  every engine sees bit-identical mobility and channel traces for the same
-  (config, seed).
+* One UE is active per BS.  Each episode drops the UEs afresh and walks
+  them independently of any engine decision, so every engine sees
+  bit-identical mobility and channel traces for the same (config, seed).
 * All per-episode randomness (fading, shadowing, walk directions) comes
   from a substream keyed by (seed, episode), and all of it is drawn when
   the episode begins, so the substream is consumed the same way however
@@ -34,7 +33,7 @@ from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, decay_epsilon,
                      normalize_state, select_action, sgd_step, tabular_update)
 from .channel import (ChannelModel, build_codebook, noise_power_dbm, prepare_link,
                       realize_channel, draw_link_fading)
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig, text_hash
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
 from .oracle import SearchSpace, brute_force
@@ -44,8 +43,8 @@ from .radio import (CodeRateMap, RadioState, db_to_lin, decode_action,
 
 IDX_ELL = 0
 IDX_B = 1
+N_CELLS = 2
 
-_STREAM_DROP = 101
 _STREAM_EPISODE = 202
 _STREAM_AGENT = 303
 
@@ -92,7 +91,8 @@ class TwoCellEnv:
         self.m = m
         self.seed = seed
         self.q = config.q
-        self.layout = build_layout(config, m)
+        self.layout = build_layout(config)
+        self.n_ues = len(self.layout.sites)
         self.codebook = build_codebook(m, config.d_over_lambda, config.codebook_centered)
         self.chan_model = ChannelModel.from_config(config)
         self.noise_dbm = noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)
@@ -102,19 +102,6 @@ class TwoCellEnv:
         self.gamma_min_db = config.gamma_min_db
         self.t_steps = config.frame_steps
         self._step_m = mobility_step_m(config.ue_speed_kmh, config.dt_s)
-
-        # one active UE per site; episode 0, 1, ... each re-drop positions
-        # from their own substream, this initial drop only makes the object
-        # usable before begin_episode (and covers the T=0 edge case)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_DROP)))
-        self._positions = []
-        for site in self.layout.sites:
-            while True:
-                x, y = uniform_disk_point(rng, site.x, site.y, config.cell_radius_m)
-                if associate(x, y, self.layout) == site.id:
-                    break
-            self._positions.append((x, y))
-        self.n_ues = len(self._positions)
 
         if config.initial_power_dbm is not None:
             p0 = config.initial_power_dbm
@@ -149,21 +136,21 @@ class TwoCellEnv:
         rng = np.random.default_rng(
             np.random.SeedSequence((self.seed, _STREAM_EPISODE, self.episode)))
         t = self.t_steps
-        self._positions = []
+        drops = []
         for site in self.layout.sites:
             while True:
                 x, y = uniform_disk_point(rng, site.x, site.y,
                                           self.config.cell_radius_m)
                 if associate(x, y, self.layout) == site.id:
                     break
-            self._positions.append((x, y))
+            drops.append((x, y))
         self._angles = [rng.uniform(0.0, 2.0 * math.pi, size=t)
                         for _ in range(self.n_ues)]
         self._links = [[prepare_link(self.chan_model, draw_link_fading(self.chan_model, rng),
                                      site, self.m)
                         for site in self.layout.sites] for _ in range(self.n_ues)]
         self._traj = np.empty((self.n_ues, t + 1, 2))
-        self._traj[:, 0] = self._positions
+        self._traj[:, 0] = drops
         self._walked = 0
         self._chan_cache = {}
         return self.episode
@@ -282,7 +269,7 @@ class BruteForceEngine:
 
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.space = SearchSpace(power_grid_dbm=tuple(config.oracle_power_grid),
-                                 codebook=env.codebook, l_bs=env.n_ues)
+                                 codebook=env.codebook)
         self.last = None
 
     def begin_episode(self, env: TwoCellEnv) -> None:
@@ -586,8 +573,8 @@ def throughput_and_frame_loss(zeta: int, t_frame_ms: float, payload_bits: float,
 
 def backhaul_messages_per_episode(config: NetworkConfig, n_ues: int,
                                   t_steps: int) -> int:
-    """Measurement reports relayed per episode: g * L * N_UE per step."""
-    return config.meas_per_step * config.l_bs * n_ues * t_steps
+    """Measurement reports relayed per episode: g * N_CELLS * N_UE per step."""
+    return config.meas_per_step * N_CELLS * n_ues * t_steps
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +605,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def trace_header(config: NetworkConfig, layout: Layout) -> list[str]:
+def trace_header(config_text: str, layout: Layout) -> str:
+    """Everything above a trace's rows, column line included, for the config
+    serialised as ``config_text``."""
     lines = ["# beampower trace v1",
-             f"# config_hash = {config.config_hash()}"]
-    for ln in config.to_text().strip().splitlines():
+             f"# config_hash = {text_hash(config_text)}"]
+    for ln in config_text.strip().splitlines():
         lines.append(f"# cfg {ln}")
     for s in layout.sites:
         lines.append(f"# layout site{s.id} = {_fmt(s.x)},{_fmt(s.y)}")
     lines.append(f"# layout r = {_fmt(layout.cell_radius_m)}")
     lines.append(f"# layout R = {_fmt(layout.intersite_m)}")
-    return lines
+    lines.append(",".join(TRACE_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def trace_rows(run: RunResult, config: NetworkConfig) -> list[str]:
@@ -647,12 +637,11 @@ def trace_rows(run: RunResult, config: NetworkConfig) -> list[str]:
     return rows
 
 
-def write_trace(path, run: RunResult, config: NetworkConfig, layout: Layout) -> None:
-    lines = trace_header(config, layout)
-    lines.append(",".join(TRACE_COLUMNS))
-    lines.extend(trace_rows(run, config))
+def write_trace(path, header: str, rows: Sequence[str]) -> None:
+    """Write a trace: ``trace_header`` text, then one line per row."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.writelines(f"{row}\n" for row in rows)
 
 
 def read_trace(path) -> tuple[NetworkConfig, list[dict]]:
@@ -730,7 +719,6 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
             config.voice_activity)
         if config.q == 1:
             lost = None
-    n_ues = config.l_bs  # one active UE per BS
     return {
         "engine": engine, "m": m, "seed": seed, "q": config.q,
         "episodes": len(episodes),
@@ -743,7 +731,7 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
         "throughput_bps": throughput,
         "lost_voice_frames": lost,
         "backhaul_msgs_per_episode": backhaul_messages_per_episode(
-            config, n_ues, config.frame_steps),
+            config, N_CELLS, config.frame_steps),  # one active UE per BS
         "candidates_per_step": candidates_per_step,
         "decision_time_s": decision_time_s,
         "wall_time_s": wall_time_s,

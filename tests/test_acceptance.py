@@ -46,7 +46,7 @@ def test_acceptance_oracle_equivalence():
     mismatches = 0
     for m in (2, 4):
         cb = build_codebook(m, cfg.d_over_lambda, cfg.codebook_centered)
-        layout = build_layout(cfg, m)
+        layout = build_layout(cfg)
         space = SearchSpace(power_grid_dbm=grid, codebook=cb)
         for _ in range(50):
             chans = []
@@ -343,7 +343,7 @@ def test_acceptance_property_suite():
     # SINR is monotone in serving power and anti-monotone in interference
     cfg = NetworkConfig(q=1, m_list=(4,))
     model = ChannelModel.from_config(cfg)
-    layout = build_layout(cfg, 4)
+    layout = build_layout(cfg)
     cb = build_codebook(4, cfg.d_over_lambda, cfg.codebook_centered)
     noise_mw = db_to_lin(noise_power_dbm(cfg.bandwidth_hz,
                                          cfg.noise_figure_db))

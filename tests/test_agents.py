@@ -13,9 +13,7 @@ from beampower.agents import (
     ReplayBuffer,
     TrainingDiverged,
     decay_epsilon,
-    load_weights,
     normalize_state,
-    save_weights,
     select_action,
     sgd_step,
     tabular_update,
@@ -234,7 +232,7 @@ def test_exploration_is_uniform():
 
 
 def test_normalize_state_hand_case():
-    layout = build_layout(NetworkConfig(q=0), m=1)  # sites at x=0 and x=525, r=350
+    layout = build_layout(NetworkConfig(q=0))  # sites at x=0 and x=525, r=350
     raw = np.array([35.0, -70.0, 560.0, 70.0, 46.0, 6.0, 0.0, 3.0])
     z = normalize_state(raw, layout, 4)
     assert z == pytest.approx([0.1, -0.2, 0.1, 0.2, 0.0, -1.0, -0.75, 0.75])
@@ -284,15 +282,3 @@ def test_tabular_learning_reaches_value_iteration_fixed_point():
             for a in range(2):
                 tabular_update(q, s, a, rewards[s, a], a, alpha=0.2, discount=gamma)
     assert np.max(np.abs(q - oracle)) < 1e-3
-
-
-def test_weights_round_trip(tmp_path):
-    net = _net(5)
-    path = tmp_path / "w.npz"
-    save_weights(net, path, config_hash="abc123", seed=9, episode=41)
-    loaded, meta = load_weights(path)
-    for a, b in zip(net.params(), loaded.params()):
-        assert a == pytest.approx(b)
-    assert meta["config_hash"] == "abc123"
-    assert meta["seed"] == 9
-    assert meta["episode"] == 41

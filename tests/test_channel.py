@@ -21,7 +21,8 @@ from beampower.channel import (
     steering_vector,
 )
 from beampower.config import NetworkConfig
-from beampower.geometry import BsSite, build_layout
+from beampower.geometry import BsSite
+from beampower.sim import TwoCellEnv
 
 
 def test_steering_unit_norm():
@@ -102,7 +103,7 @@ def test_noise_power_values():
 
 
 def test_bearing_reflects_into_upper_half():
-    site = BsSite(id=0, x=0.0, y=0.0, max_power_dbm=46.0, m=4, band=28000.0)
+    site = BsSite(id=0, x=0.0, y=0.0)
     assert bearing(site, 1.0, 1.0) == pytest.approx(math.pi / 4)
     assert bearing(site, 1.0, -1.0) == pytest.approx(math.pi / 4)
     assert bearing(site, -1.0, 0.0) == pytest.approx(math.pi)
@@ -117,7 +118,7 @@ def test_direct_path_matches_its_codebook_beam():
     model = _data_model()
     for m in (4, 8, 16):
         cb = build_codebook(m)
-        site = BsSite(id=0, x=0.0, y=0.0, max_power_dbm=46.0, m=m, band=28000.0)
+        site = BsSite(id=0, x=0.0, y=0.0)
         for n in range(m):
             theta = cb.angles[n]
             fad = LinkFading(los=True, gains=np.array([1.0 + 0.0j]),
@@ -131,7 +132,7 @@ def test_direct_path_matches_its_codebook_beam():
 def test_beam_gain_bounded_by_channel_norm():
     model = _data_model()
     rng = np.random.default_rng(13)
-    site = BsSite(id=0, x=0.0, y=0.0, max_power_dbm=46.0, m=8, band=28000.0)
+    site = BsSite(id=0, x=0.0, y=0.0)
     cb = build_codebook(8)
     for _ in range(100):
         ch = sample_channel(model, site, rng.uniform(10, 150), rng.uniform(-50, 50),
@@ -144,7 +145,7 @@ def test_beam_gain_bounded_by_channel_norm():
 def test_channel_power_tracks_amplitude_ratio():
     # E||h||^2 * rho^2 / M == 1 across random fadings
     model = _data_model()
-    site = BsSite(id=0, x=0.0, y=0.0, max_power_dbm=46.0, m=8, band=28000.0)
+    site = BsSite(id=0, x=0.0, y=0.0)
     rng = np.random.default_rng(19)
     vals = []
     for _ in range(4000):
@@ -176,8 +177,8 @@ def test_fading_draw_shapes():
 
 
 def test_voice_layout_uses_single_antenna():
-    layout = build_layout(NetworkConfig(q=0), m=1)
-    cb = build_codebook(1)
-    assert len(cb) == 1
-    assert cb.beam(0) == pytest.approx(np.array([1.0 + 0.0j]))
-    assert layout.sites[0].m == 1
+    cfg = NetworkConfig(q=0)
+    env = TwoCellEnv(cfg, cfg.m_list[0], 1)
+    assert env.m == 1
+    assert len(env.codebook) == 1
+    assert env.codebook.beam(0) == pytest.approx(np.array([1.0 + 0.0j]))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from beampower import cli
+from beampower import cli, sim
 from beampower.sim import TIMING_COLUMNS, read_summary, read_trace
 
 
@@ -119,6 +119,46 @@ def test_oracle_subcommand_forces_brute_force_engine(tmp_path):
     assert rc == 0
     traces = sorted(p.name for p in out.glob("trace_*.csv"))
     assert traces == ["trace_brute_force_M4_s1.csv"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_job_stops_the_run_in_job_order(tmp_path, monkeypatch, capsys,
+                                                       workers):
+    # job order is tabular s1..s3, then fpa s1..s3; fpa s2 fails
+    real = sim.run_experiment
+
+    def failing(config, m, seed, engine_name, *args, **kwargs):
+        if (engine_name, seed) == ("fpa", 2):
+            raise RuntimeError("injected failure")
+        return real(config, m, seed, engine_name, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_experiment", failing)
+    cfg = _write_cfg(tmp_path, "q = 0\nengines = tabular, fpa\nseeds = 1,2,3\n"
+                               "episode_cap = 1\n")
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", cfg, "--out", str(out),
+                   "--workers", str(workers)])
+    assert rc == 2
+    assert "engine=fpa M=1 seed=2: injected failure" in capsys.readouterr().err
+    written = ["trace_fpa_M1_s1.csv", "trace_tabular_M1_s1.csv",
+               "trace_tabular_M1_s2.csv", "trace_tabular_M1_s3.csv"]
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == written
+    rows = read_summary(out / "summary.csv")
+    assert [(r["engine"], r["seed"]) for r in rows] == [
+        ("fpa", "1"), ("tabular", "1"), ("tabular", "2"), ("tabular", "3")]
+
+
+def test_parallel_run_writes_the_serial_bytes(tmp_path):
+    cfg = _write_cfg(tmp_path, "q = 0\nengines = fpa, tabular\nseeds = 1,2\n"
+                               "episode_cap = 2\n")
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--workers", str(workers)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "summary.csv")
+    assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "summary.csv")
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_summary_merges_across_invocations(tmp_path):

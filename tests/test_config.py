@@ -1,0 +1,80 @@
+"""Every config key changes something, and removed keys stay removed."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from beampower import cli
+from beampower.config import _FIELD_TYPES, NetworkConfig
+
+SRC = Path(cli.__file__).resolve().parent
+CONFIG_NAMES = ("config", "cfg")      # how src/ names a NetworkConfig
+
+
+def _config_reads(tree) -> set:
+    """Attribute names read off a ``config``/``cfg`` name or ``.config``."""
+    reads = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        if name in CONFIG_NAMES:
+            reads.add(node.attr)
+    return reads
+
+
+def _derived_fields() -> dict:
+    """Public NetworkConfig members -> the fields they read through self."""
+    tree = ast.parse((SRC / "config.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "NetworkConfig")
+    return {fn.name: {n.attr for n in ast.walk(fn)
+                      if isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name) and n.value.id == "self"}
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+
+
+def test_every_config_field_is_read_outside_config():
+    reads = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "config.py":
+            reads |= _config_reads(ast.parse(path.read_text()))
+    for member, fields in _derived_fields().items():
+        if member in reads:
+            reads |= fields
+    unread = [f.name for f in dataclasses.fields(NetworkConfig) if f.name not in reads]
+    assert unread == []
+
+
+def test_field_types_match_the_fields():
+    assert set(_FIELD_TYPES) == {f.name for f in dataclasses.fields(NetworkConfig)}
+
+
+@pytest.mark.parametrize("line", ["l_bs = 3", "net_depth = 2", "n_ue_max = 10",
+                                  "n_ues_per_bs = 1", "amr_rate_kbps = 23.85"])
+def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"q = 0\nengines = fpa\nepisode_cap = 1\n{line}\n")
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 0\nengines = fpa\nseeds = 2\nepisode_cap = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    trace = out / "trace_fpa_M1_s2.csv"
+    lines = trace.read_text().splitlines()
+    at = lines.index("# cfg net_width = 24")
+    trace.write_text("\n".join(lines[:at] + ["# cfg net_depth = 2"] + lines[at:]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["report", "--dir", str(out)]) == 1
+    assert "'net_depth'" in capsys.readouterr().err
+    assert cli.main(["ccdf", "--trace", str(trace)]) == 1

@@ -1,48 +1,41 @@
-"""Cell layout, uniform drops, association, and the bounded random walk."""
+"""Cell layout, uniform drops, association, and the bounded random walk.
+
+Drops and the walk happen in ``TwoCellEnv``, so their properties are checked
+through it.  With ``ue_speed_kmh = 0`` the UEs never move, and ``observe(k)``
+shows the episode's drop; the drop does not depend on the speed, because the
+walk directions are drawn after it from the same substream.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from beampower import sim
 from beampower.config import ConfigError, NetworkConfig
 from beampower.geometry import (
     associate,
     build_layout,
-    drop_ues,
     mobility_step_m,
     reflect_into_cell,
-    step_mobility,
     uniform_disk_point,
 )
+from beampower.sim import TwoCellEnv
 
 
 def test_two_site_line_spacing():
     # neighbor spacing is 1.5x the cell radius for both bearers
-    voice = build_layout(NetworkConfig(q=0), m=1)
+    voice = build_layout(NetworkConfig(q=0))
     assert voice.sites[0].x == 0.0 and voice.sites[0].y == 0.0
     assert voice.sites[1].x == pytest.approx(525.0)
-    data = build_layout(NetworkConfig(q=1, m_list=(4,)), m=4)
+    data = build_layout(NetworkConfig(q=1, m_list=(4,)))
     assert data.sites[1].x == pytest.approx(225.0)
     assert len(data.sites) == 2
-
-
-def test_ring_layout_neighbor_spacing():
-    cfg = NetworkConfig(q=1, l_bs=4, m_list=(4,))
-    layout = build_layout(cfg, m=4)
-    pts = [(s.x, s.y) for s in layout.sites]
-    d01 = math.dist(pts[0], pts[1])
-    assert d01 == pytest.approx(layout.intersite_m)
-    # ring is equispaced: consecutive distances all equal
-    for i in range(4):
-        assert math.dist(pts[i], pts[(i + 1) % 4]) == pytest.approx(d01)
 
 
 def test_degenerate_radius_rejected():
     with pytest.raises(ConfigError):
         NetworkConfig(q=0, cell_radius_m=0.0)
-    with pytest.raises(ConfigError):
-        NetworkConfig(q=0, l_bs=1)
 
 
 def test_disk_drop_radial_cdf():
@@ -60,35 +53,54 @@ def test_disk_drop_radial_cdf():
     assert np.max(np.abs(emp - ana)) < 0.01
 
 
+def _drops(env: TwoCellEnv) -> np.ndarray:
+    """(x_l, y_l, x_b, y_b) of the current episode's drop, for a still env."""
+    return env.observe(0)[:4]
+
+
 def test_drop_determinism_and_membership():
-    layout = build_layout(NetworkConfig(q=0), m=1)
-    ues_a = drop_ues(layout, 10, 0, 5.0, np.random.default_rng(3))
-    ues_b = drop_ues(layout, 10, 0, 5.0, np.random.default_rng(3))
-    assert [(u.x, u.y) for u in ues_a] == [(u.x, u.y) for u in ues_b]
-    assert len(ues_a) == 20
-    for u in ues_a:
-        site = layout.site(u.serving_bs)
-        assert math.hypot(u.x - site.x, u.y - site.y) <= layout.cell_radius_m + 1e-9
+    for q, m in ((0, 1), (1, 4)):
+        _check_drops(NetworkConfig(q=q, m_list=(m,), ue_speed_kmh=0.0), m)
 
 
-def test_drop_count_cap():
-    layout = build_layout(NetworkConfig(q=0), m=1)
-    with pytest.raises(ValueError):
-        drop_ues(layout, 11, 0, 5.0, np.random.default_rng(0))
+def _check_drops(cfg: NetworkConfig, m: int) -> None:
+    env = TwoCellEnv(cfg, m, 3)
+    layout = env.layout
+    drops = []
+    for _ in range(300):
+        env.begin_episode()
+        drops.append(_drops(env))
+    # each UE starts inside its own cell and associates to it
+    for d in drops:
+        for u in range(2):
+            x, y = d[2 * u:2 * u + 2]
+            site = layout.site(u)
+            assert math.hypot(x - site.x, y - site.y) <= layout.cell_radius_m + 1e-9
+            assert associate(x, y, layout) == u
+    # a drop depends on (seed, episode) alone: a fresh env jumping straight
+    # to an episode, in any order, drops the same points
+    again = TwoCellEnv(cfg, m, 3)
+    for episode in (250, 7, 0, 299):
+        again.begin_episode(episode)
+        assert np.array_equal(_drops(again), drops[episode])
+    assert len({d.tobytes() for d in drops}) == len(drops)    # every episode re-drops
+    other = TwoCellEnv(cfg, m, 4)
+    other.begin_episode(0)
+    assert not np.array_equal(_drops(other), drops[0])
 
 
 def test_associate_matches_argmin_scan():
-    layout = build_layout(NetworkConfig(q=1, l_bs=3, m_list=(4,)), m=4)
+    layout = build_layout(NetworkConfig(q=1, m_list=(4,)))
     rng = np.random.default_rng(5)
     for _ in range(200):
-        x = rng.uniform(-500, 500)
-        y = rng.uniform(-500, 500)
+        x = rng.uniform(-300, 500)
+        y = rng.uniform(-300, 300)
         dists = [math.hypot(x - s.x, y - s.y) for s in layout.sites]
         assert associate(x, y, layout) == int(np.argmin(dists))
 
 
 def test_associate_midpoint_tie_lowest_id():
-    layout = build_layout(NetworkConfig(q=0), m=1)
+    layout = build_layout(NetworkConfig(q=0))
     mid = layout.sites[1].x / 2.0
     assert associate(mid, 0.0, layout) == 0
 
@@ -100,26 +112,42 @@ def test_mobility_displacement_magnitude():
 
 
 def test_zero_speed_is_fixed_point():
-    layout = build_layout(NetworkConfig(q=0), m=1)
-    ue = drop_ues(layout, 1, 0, 0.0, np.random.default_rng(1))[0]
-    moved = step_mobility(ue, layout, 1e-3, np.random.default_rng(2))
-    assert (moved.x, moved.y) == (ue.x, ue.y)
+    cfg = NetworkConfig(q=0, ue_speed_kmh=0.0)
+    env = TwoCellEnv(cfg, 1, 1)
+    for _ in range(5):
+        env.begin_episode()
+        start = _drops(env)
+        for k in range(env.t_steps):
+            assert np.array_equal(env.observe(k)[:4], start)
+            assert np.array_equal(env.observe_next(k)[:4], start)
 
 
-def test_walk_never_leaves_cell():
-    cfg = NetworkConfig(q=1, m_list=(4,))
-    layout = build_layout(cfg, m=4)
-    rng = np.random.default_rng(7)
-    ue = drop_ues(layout, 1, 1, 2.0, rng)[0]
-    site = layout.site(ue.serving_bs)
-    # exaggerated speed so reflections actually trigger
-    for _ in range(20_000):
-        ue = step_mobility(ue, layout, 1.0, rng)
-        assert math.hypot(ue.x - site.x, ue.y - site.y) <= layout.cell_radius_m + 1e-9
+def test_walk_never_leaves_cell(monkeypatch):
+    # exaggerated speed so reflections actually trigger: 200 km/h over 1 s
+    # steps is 55.6 m per step in a 150 m cell
+    cfg = NetworkConfig(q=1, m_list=(4,), ue_speed_kmh=200.0, step_ms=1000.0,
+                        frame_steps=500)
+    outside = []
+
+    def reflect(x, y, site, r):
+        outside.append(math.hypot(x - site.x, y - site.y) > r)
+        return reflect_into_cell(x, y, site, r)
+
+    monkeypatch.setattr(sim, "reflect_into_cell", reflect)
+    env = TwoCellEnv(cfg, 4, 7)
+    r = env.layout.cell_radius_m
+    for _ in range(4):
+        env.begin_episode()
+        for k in range(env.t_steps):
+            pos = env.observe(k)
+            for u in range(2):
+                site = env.layout.site(u)
+                assert math.hypot(pos[2 * u] - site.x, pos[2 * u + 1] - site.y) <= r + 1e-9
+    assert sum(outside) > 100
 
 
 def test_reflection_folds_radially():
-    site = build_layout(NetworkConfig(q=0), m=1).sites[0]
+    site = build_layout(NetworkConfig(q=0)).sites[0]
     # point 400 m out of a 350 m cell folds back to 300 m on the same ray
     x, y = reflect_into_cell(400.0, 0.0, site, 350.0)
     assert (x, y) == (pytest.approx(300.0), pytest.approx(0.0))

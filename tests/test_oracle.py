@@ -14,7 +14,7 @@ from beampower.radio import CodeRateMap, RadioState, db_to_lin, effective_sinr_d
 
 def _random_channels(rng, m, cfg):
     model = ChannelModel.from_config(cfg)
-    layout = build_layout(cfg, m)
+    layout = build_layout(cfg)
     chans = []
     for u, _ in enumerate(layout.sites):
         row = []

@@ -10,6 +10,7 @@ from beampower import sim
 from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_loss_db,
                                path_loss_terms, steering_vector)
 from beampower.config import ConfigError, NetworkConfig
+from beampower.geometry import build_layout
 from beampower.sim import (
     TwoCellEnv,
     backhaul_messages_per_episode,
@@ -26,6 +27,7 @@ from beampower.sim import (
     summarize_run,
     sum_rate_summary,
     throughput_and_frame_loss,
+    trace_header,
     trace_rows,
     write_trace,
 )
@@ -324,10 +326,8 @@ def test_backhaul_message_count():
 def test_trace_round_trip(tmp_path):
     cfg = _voice_cfg()
     run = run_experiment(cfg, 1, 3, "fpa")
-    from beampower.geometry import build_layout
-
     path = tmp_path / "trace.csv"
-    write_trace(path, run, cfg, build_layout(cfg, 1))
+    write_trace(path, trace_header(cfg.to_text(), build_layout(cfg)), trace_rows(run, cfg))
     cfg_back, rows = read_trace(path)
     assert cfg_back == cfg
     assert cfg_back.config_hash() == cfg.config_hash()
