@@ -71,34 +71,31 @@ def _write_run_outputs(out: Path, config: NetworkConfig, results: list) -> None:
         if res["samples"]:
             ccdf_path = out / f"ccdf_{stem}.csv"
             body = [f"# config_hash = {cfg_hash}", "eff_sinr_db"]
-            body += [format(x, ".10g") for x in res["samples"]]
+            body += [sim.fmt(x) for x in res["samples"]]
             ccdf_path.write_text("\n".join(body) + "\n")
             summary["ccdf_file"] = ccdf_path.name
         rows.append(summary)
-    _append_summary(out / "summary.csv", rows)
-    _emit_runtime_ratios(out)
+    _emit_runtime_ratios(out, _append_summary(out / "summary.csv", rows))
 
 
-def _append_summary(path: Path, rows: list) -> None:
+def _formatted(row: dict) -> dict:
+    """A summary row as ``sim.read_summary`` returns it: column -> text."""
+    return {c: sim.fmt(row[c]) for c in sim.SUMMARY_COLUMNS}
+
+
+def _append_summary(path: Path, rows: list) -> list[dict]:
+    """Merge ``rows`` into the summary by (engine, M, seed); return the rows written."""
     existing = sim.read_summary(path) if path.exists() else []
-    merged = {(r["engine"], str(r["m"]), str(r["seed"])): r for r in existing}
-    for row in rows:
-        formatted = dict(zip(sim.SUMMARY_COLUMNS,
-                             sim.summary_lines([row])[1].split(",")))
-        merged[(row["engine"], str(row["m"]), str(row["seed"]))] = formatted
+    merged = {(r["engine"], r["m"], r["seed"]): r
+              for r in existing + [_formatted(row) for row in rows]}
     ordered = sorted(merged.values(), key=lambda r: (r["engine"], int(r["m"]),
                                                      int(r["seed"])))
-    lines = [",".join(sim.SUMMARY_COLUMNS)]
-    lines += [",".join(r[c] for c in sim.SUMMARY_COLUMNS) for r in ordered]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(sim.summary_lines(ordered)) + "\n")
+    return ordered
 
 
-def _emit_runtime_ratios(out: Path) -> None:
+def _emit_runtime_ratios(out: Path, rows: list[dict]) -> None:
     """Per-step decision-time ratio dqn / brute_force for matched (M, seed)."""
-    path = out / "summary.csv"
-    if not path.exists():
-        return
-    rows = sim.read_summary(path)
     per_step = {}
     for r in rows:
         steps = int(r["steps"]) if r["steps"] else 0
@@ -106,15 +103,13 @@ def _emit_runtime_ratios(out: Path) -> None:
             per_step[(r["engine"], r["m"], r["seed"])] = \
                 float(r["decision_time_s"]) / steps
     lines = ["m,seed,dqn_step_s,brute_force_step_s,ratio"]
-    found = False
     for (engine, m, seed), dqn_t in sorted(per_step.items()):
         if engine != "dqn":
             continue
         bf_t = per_step.get(("brute_force", m, seed))
         if bf_t:
-            lines.append(f"{m},{seed},{dqn_t:.6g},{bf_t:.6g},{dqn_t / bf_t:.6g}")
-            found = True
-    if found:
+            lines.append(",".join([m, seed, *map(sim.fmt, (dqn_t, bf_t, dqn_t / bf_t))]))
+    if len(lines) > 1:
         (out / "runtime_ratio.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -179,7 +174,7 @@ def cmd_ccdf(args) -> int:
     curve = sim.ccdf(samples)
     out = Path(args.out) if args.out else Path(args.trace).with_suffix(".ccdf.csv")
     lines = [f"# config_hash = {config.config_hash()}", "threshold_db,prob"]
-    lines += [f"{t:.10g},{p:.10g}" for t, p in curve]
+    lines += [f"{sim.fmt(t)},{sim.fmt(p)}" for t, p in curve]
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
@@ -202,6 +197,23 @@ def _recompute_summary_rows(trace_dir: Path) -> list[dict]:
     return rows
 
 
+def _summary_mismatches(rows: list[dict], summary_path: Path) -> list[tuple]:
+    """(key, column, summary value, recomputed value) for each non-timing
+    difference from ``summary_path``, including a recomputed row it lacks."""
+    original = {(r["engine"], r["m"], r["seed"]): r
+                for r in sim.read_summary(summary_path)}
+    compare = [c for c in sim.SUMMARY_COLUMNS if c not in sim.TIMING_COLUMNS]
+    mismatches = []
+    for row in map(_formatted, rows):
+        key = (row["engine"], row["m"], row["seed"])
+        got = original.get(key)
+        if got is None:
+            mismatches.append((key, "row", None, "present"))
+            continue
+        mismatches += [(key, c, got[c], row[c]) for c in compare if got[c] != row[c]]
+    return mismatches
+
+
 def cmd_report(args) -> int:
     trace_dir = Path(args.dir)
     rows = _recompute_summary_rows(trace_dir)
@@ -214,19 +226,7 @@ def cmd_report(args) -> int:
     summary_path = trace_dir / "summary.csv"
     if not summary_path.exists():
         return 0
-    original = {(r["engine"], r["m"], r["seed"]): r
-                for r in sim.read_summary(summary_path)}
-    compare = [c for c in sim.SUMMARY_COLUMNS if c not in sim.TIMING_COLUMNS]
-    mismatches = []
-    for row in rows:
-        formatted = dict(zip(sim.SUMMARY_COLUMNS,
-                             sim.summary_lines([row])[1].split(",")))
-        key = (formatted["engine"], formatted["m"], formatted["seed"])
-        if key not in original:
-            continue
-        for col in compare:
-            if original[key][col] != formatted[col]:
-                mismatches.append((key, col, original[key][col], formatted[col]))
+    mismatches = _summary_mismatches(rows, summary_path)
     if mismatches:
         for key, col, a, b in mismatches:
             print(f"mismatch {key} {col}: summary={a!r} recomputed={b!r}",
@@ -287,16 +287,7 @@ def cmd_verify(args) -> int:
     summary_file = golden / "summary.csv"
     if trace_files and summary_file.exists():
         rows = _recompute_summary_rows(golden)
-        original = {(r["engine"], r["m"], r["seed"]): r
-                    for r in sim.read_summary(summary_file)}
-        compare = [c for c in sim.SUMMARY_COLUMNS if c not in sim.TIMING_COLUMNS]
-        ok = bool(rows)
-        for row in rows:
-            formatted = dict(zip(sim.SUMMARY_COLUMNS,
-                                 sim.summary_lines([row])[1].split(",")))
-            key = (formatted["engine"], formatted["m"], formatted["seed"])
-            got = original.get(key)
-            ok &= got is not None and all(got[c] == formatted[c] for c in compare)
+        ok = bool(rows) and not _summary_mismatches(rows, summary_file)
         _check("golden trace summary reproduced", ok, failures)
     else:
         _check("golden trace present", False, failures)

@@ -18,15 +18,15 @@ from .radio import CodeRateMap, RadioState, effective_sinr_db, sinr_db
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-BS power grid (absolute dBm levels) and shared beam codebook."""
+    """Per-BS power grid (absolute dBm levels) and shared beam codebook of
+    the two BSs."""
 
     power_grid_dbm: tuple
     codebook: BeamCodebook
-    l_bs: int = 2
 
     @property
     def n_candidates(self) -> int:
-        return (len(self.power_grid_dbm) * len(self.codebook)) ** self.l_bs
+        return (len(self.power_grid_dbm) * len(self.codebook)) ** 2
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,22 @@ def brute_force(channels: Sequence, space: SearchSpace, q: int,
                 gamma_target_db: float | None = None) -> BruteForceResult:
     """Maximise the sum of per-UE effective SINRs over the full grid.
 
-    Candidates are scanned in lexicographic (p_0, n_0, p_1, n_1, ...)
-    order and only a strictly better objective replaces the incumbent, so
-    ties resolve to the lexicographically smallest assignment.
+    Candidates are scanned in lexicographic (p_0, n_0, p_1, n_1) order and
+    only a strictly better objective replaces the incumbent, so ties
+    resolve to the lexicographically smallest assignment.
     """
-    l_bs = space.l_bs
     grid = space.power_grid_dbm
     n_beams = len(space.codebook)
     best = None
     n_eval = 0
     per_bs = list(itertools.product(range(len(grid)), range(n_beams)))
-    for combo in itertools.product(per_bs, repeat=l_bs):
+    for combo in itertools.product(per_bs, repeat=2):
         powers = tuple(grid[pi] for pi, _ in combo)
         beams = tuple(ni for _, ni in combo)
         state = RadioState(powers_dbm=powers, beams=beams, channels=channels,
                            codebook=space.codebook, noise_mw=noise_mw, q=q)
         effs = tuple(effective_sinr_db(sinr_db(state, u), q, code_map)
-                     for u in range(l_bs))
+                     for u in range(2))
         obj = sum(effs)
         n_eval += 1
         if best is None or obj > best[0]:

@@ -594,28 +594,32 @@ SUMMARY_COLUMNS = ("engine", "m", "seed", "q", "episodes", "steps", "zeta",
 # wall-clock columns are excluded from reproducibility comparisons
 TIMING_COLUMNS = ("decision_time_s", "wall_time_s")
 
+TRACE_VERSION = "# beampower trace v2"
 
-def _fmt(v) -> str:
+
+def fmt(v) -> str:
+    """The text of a value in every output file; ``repr`` reads back as the
+    same float, so a summary recomputed from a trace equals the run's own."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return format(v, ".10g")
+        return repr(float(v))
     return str(v)
 
 
 def trace_header(config_text: str, layout: Layout) -> str:
     """Everything above a trace's rows, column line included, for the config
     serialised as ``config_text``."""
-    lines = ["# beampower trace v1",
+    lines = [TRACE_VERSION,
              f"# config_hash = {text_hash(config_text)}"]
     for ln in config_text.strip().splitlines():
         lines.append(f"# cfg {ln}")
     for s in layout.sites:
-        lines.append(f"# layout site{s.id} = {_fmt(s.x)},{_fmt(s.y)}")
-    lines.append(f"# layout r = {_fmt(layout.cell_radius_m)}")
-    lines.append(f"# layout R = {_fmt(layout.intersite_m)}")
+        lines.append(f"# layout site{s.id} = {fmt(s.x)},{fmt(s.y)}")
+    lines.append(f"# layout r = {fmt(layout.cell_radius_m)}")
+    lines.append(f"# layout R = {fmt(layout.intersite_m)}")
     lines.append(",".join(TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
 
@@ -628,11 +632,11 @@ def trace_rows(run: RunResult, config: NetworkConfig) -> list[str]:
                 str(s.t), run.engine, str(config.q), str(run.m), str(run.seed),
                 str(ep.index),
                 "" if s.action is None else format(s.action, "x"),
-                _fmt(s.powers_dbm[IDX_ELL]), _fmt(s.powers_dbm[IDX_B]),
+                fmt(s.powers_dbm[IDX_ELL]), fmt(s.powers_dbm[IDX_B]),
                 str(s.beams[IDX_ELL]), str(s.beams[IDX_B]),
-                _fmt(s.sinr_db[0]), _fmt(s.sinr_db[1]),
-                _fmt(s.eff_sinr_db[0]), _fmt(s.eff_sinr_db[1]),
-                _fmt(s.reward), _fmt(s.loss),
+                fmt(s.sinr_db[0]), fmt(s.sinr_db[1]),
+                fmt(s.eff_sinr_db[0]), fmt(s.eff_sinr_db[1]),
+                fmt(s.reward), fmt(s.loss),
             ]))
     return rows
 
@@ -649,6 +653,10 @@ def read_trace(path) -> tuple[NetworkConfig, list[dict]]:
     rows = []
     header = None
     with open(path) as fh:
+        version = fh.readline().rstrip("\n")
+        if version != TRACE_VERSION:
+            raise ValueError(f"unsupported trace version in {path}: {version!r}, "
+                             f"expected {TRACE_VERSION!r}")
         for raw in fh:
             line = raw.rstrip("\n")
             if line.startswith("# cfg "):
@@ -705,10 +713,9 @@ def episodes_from_rows(rows: Sequence[dict], config: NetworkConfig,
 def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
                        episodes: Sequence[EpisodeResult],
                        decision_time_s: float = 0.0, wall_time_s: float = 0.0,
-                       candidates_per_step: int | None = None,
-                       ccdf_file: str = "") -> dict:
+                       candidates_per_step: int | None = None) -> dict:
     """One summary row; everything except the timing columns derives from
-    the trace alone."""
+    the trace alone.  ``ccdf_file`` is left empty for the caller to name."""
     zeta = convergence_episode(episodes)
     max_rate, best_rate_idx = sum_rate_summary(episodes)
     best = best_complete_episode(episodes)
@@ -735,22 +742,21 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
         "candidates_per_step": candidates_per_step,
         "decision_time_s": decision_time_s,
         "wall_time_s": wall_time_s,
-        "ccdf_file": ccdf_file,
+        "ccdf_file": "",
     }
 
 
-def summarize_run(config: NetworkConfig, run: RunResult, ccdf_file: str = "") -> dict:
+def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
     return summarize_episodes(config, run.m, run.seed, run.engine, run.episodes,
                               decision_time_s=run.decision_time_s,
                               wall_time_s=run.wall_time_s,
-                              candidates_per_step=run.candidates_per_step,
-                              ccdf_file=ccdf_file)
+                              candidates_per_step=run.candidates_per_step)
 
 
 def summary_lines(rows: Sequence[dict]) -> list[str]:
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
+        lines.append(",".join(fmt(row[c]) for c in SUMMARY_COLUMNS))
     return lines
 
 
