@@ -41,12 +41,21 @@ def decay_epsilon(policy: PolicyState) -> PolicyState:
 
 
 class QNetwork:
-    """[n_in, H, H, n_out] perceptron, sigmoid hidden units, linear output."""
+    """[n_in, H, H, n_out] perceptron, sigmoid hidden units, linear output.
+
+    The six parameters are views of one flat array ``theta`` and their
+    gradients are views of one flat array ``grad`` of the same layout, so an
+    SGD step writes each gradient in place and updates every parameter with
+    a single ``theta -= eta * grad``.
+    """
 
     def __init__(self, w1, b1, w2, b2, w3, b3):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w3, self.b3 = w3, b3
+        params = [np.asarray(p, dtype=float) for p in (w1, b1, w2, b2, w3, b3)]
+        self.theta = np.concatenate([p.ravel() for p in params])
+        self.grad = np.zeros_like(self.theta)
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = _views(self.theta, params)
+        self.dw1, self.db1, self.dw2, self.db2, self.dw3, self.db3 = _views(self.grad,
+                                                                           params)
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, n_in: int = 8, width: int = 24,
@@ -75,10 +84,13 @@ class QNetwork:
         return self.w3 @ h2 + self.b3
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
+        return self._hidden(np.asarray(states, dtype=float))[2]
+
+    def _hidden(self, states: np.ndarray) -> tuple:
+        """(h1, h2, q) of a batch of states, one row per state."""
         h1 = _sigmoid(states @ self.w1.T + self.b1)
         h2 = _sigmoid(h1 @ self.w2.T + self.b2)
-        return h2 @ self.w3.T + self.b3
+        return h1, h2, h2 @ self.w3.T + self.b3
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
@@ -87,8 +99,21 @@ class QNetwork:
         return QNetwork(*[p.copy() for p in self.params()])
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _views(flat: np.ndarray, like: list) -> list:
+    """Consecutive views of ``flat`` shaped like the arrays in ``like``."""
+    views, at = [], 0
+    for p in like:
+        views.append(flat[at:at + p.size].reshape(p.shape))
+        at += p.size
+    return views
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed in place in the temporary ``x``."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def select_action(net: QNetwork, s: np.ndarray, policy: PolicyState,
@@ -110,41 +135,41 @@ def sgd_step(net: QNetwork, states: np.ndarray, actions: np.ndarray,
     terminal transitions.  The target is r for terminal rows, else
     r + discount * max_a' Q(s', a').  Targets are computed with the current
     parameters and treated as constants; the gradient flows only through
-    the predictions.  The network is updated in place and returned
-    together with the loss.
+    the predictions.  One forward pass over the stack [states; next_states]
+    gives both: its first n rows are the predictions, its last n the
+    target values.  For n >= 2 these are the floats of two separate passes
+    (numpy multiplies a lone row as a matrix-vector product, which may
+    round differently).  The gradients are written into ``net.grad`` and
+    the network is updated in place and returned together with the loss.
     """
     n = len(actions)
     rows = np.arange(n)
-    q_next = net.forward_batch(next_states)
-    targets = np.where(live, rewards + discount * q_next.max(axis=1), rewards)
-
-    h1 = _sigmoid(states @ net.w1.T + net.b1)
-    h2 = _sigmoid(h1 @ net.w2.T + net.b2)
-    qvals = h2 @ net.w3.T + net.b3
-    picked = qvals[rows, actions]
-    err = targets - picked
-    loss = float(np.mean(err ** 2))
+    h1, h2, qvals = net._hidden(np.concatenate((states, next_states)))
+    targets = np.where(live, rewards + discount * np.maximum.reduce(qvals[n:], axis=1),
+                       rewards)
+    err = targets - qvals[rows, actions]
+    loss = float(np.add.reduce(err * err) / n)
     if not math.isfinite(loss):
         raise TrainingDiverged(f"training loss is not finite: {loss}")
 
     # d(loss)/d(q_a) = -2 * err / n, routed to the taken action only
-    g3 = np.zeros_like(qvals)
+    h1, h2 = h1[:n], h2[:n]
+    g3 = np.zeros((n, qvals.shape[1]))
     g3[rows, actions] = -2.0 * err / n
-    dw3 = g3.T @ h2
-    db3 = g3.sum(axis=0)
-    d2 = (g3 @ net.w3) * h2 * (1.0 - h2)
-    dw2 = d2.T @ h1
-    db2 = d2.sum(axis=0)
-    d1 = (d2 @ net.w2) * h1 * (1.0 - h1)
-    dw1 = d1.T @ states
-    db1 = d1.sum(axis=0)
+    np.matmul(g3.T, h2, out=net.dw3)
+    np.add.reduce(g3, axis=0, out=net.db3)
+    d2 = g3 @ net.w3
+    d2 *= h2
+    d2 *= 1.0 - h2
+    np.matmul(d2.T, h1, out=net.dw2)
+    np.add.reduce(d2, axis=0, out=net.db2)
+    d1 = d2 @ net.w2
+    d1 *= h1
+    d1 *= 1.0 - h1
+    np.matmul(d1.T, states, out=net.dw1)
+    np.add.reduce(d1, axis=0, out=net.db1)
 
-    net.w3 -= eta * dw3
-    net.b3 -= eta * db3
-    net.w2 -= eta * dw2
-    net.b2 -= eta * db2
-    net.w1 -= eta * dw1
-    net.b1 -= eta * db1
+    net.theta -= eta * net.grad
     return net, loss
 
 
@@ -197,7 +222,8 @@ class ReplayBuffer:
         if self._count == self.capacity:
             # full: the oldest row sits at the write head
             idx = (idx + self._head) % self.capacity
-        return self.s[idx], self.a[idx], self.r[idx], self.s_next[idx], self.live[idx]
+        return (self.s.take(idx, axis=0), self.a[idx], self.r[idx],
+                self.s_next.take(idx, axis=0), self.live[idx])
 
     def adjust_last_reward(self, delta: float) -> None:
         """Add ``delta`` to the newest transition's reward (end-of-episode
@@ -220,16 +246,11 @@ def normalize_state(raw: np.ndarray, layout: Layout, m: int,
     """
     r = layout.cell_radius_m
     s0, s1 = layout.sites[0], layout.sites[1]
-    out = np.empty(8)
-    out[0] = (raw[0] - s0.x) / r
-    out[1] = (raw[1] - s0.y) / r
-    out[2] = (raw[2] - s1.x) / r
-    out[3] = (raw[3] - s1.y) / r
-    out[4] = (raw[4] - p_max_dbm) / 40.0
-    out[5] = (raw[5] - p_max_dbm) / 40.0
-    out[6] = 2.0 * (raw[6] + 0.5) / m - 1.0
-    out[7] = 2.0 * (raw[7] + 0.5) / m - 1.0
-    return out
+    x_l, y_l, x_b, y_b, p_l, p_b, n_l, n_b = raw.tolist()
+    return np.array([(x_l - s0.x) / r, (y_l - s0.y) / r,
+                     (x_b - s1.x) / r, (y_b - s1.y) / r,
+                     (p_l - p_max_dbm) / 40.0, (p_b - p_max_dbm) / 40.0,
+                     2.0 * (n_l + 0.5) / m - 1.0, 2.0 * (n_b + 0.5) / m - 1.0])
 
 
 # ---------------------------------------------------------------------------

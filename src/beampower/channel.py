@@ -8,24 +8,26 @@ channel toward a UE is
 
 with per-path complex gains alpha_p, departure angles theta_p and an
 amplitude path-loss ratio rho (rho**2 is the linear power loss, antenna
-gains folded in), so that E[||h||^2] = M / rho**2.
+gains folded in), so that E[||h||^2] = M / rho**2.  A channel is a plain
+(M,) complex array.
 
 A link's random state is drawn once per episode (``draw_link_fading``) and
 folded with everything else that does not depend on the UE position into a
 ``PreparedLink``: the path-loss constants, the shadowing, and for an NLOS
-link the whole small-scale sum over its fixed paths.  ``realize_channel``
-then adds only what the position changes: the distance term of the path
-loss and, for a LOS link, the steering vector at the current bearing.
-Every float is computed in the same order as the direct formula, so a
-prepared link gives bit-identical channels.
+link the whole small-scale sum over its fixed paths.  The links of an
+episode form a ``LinkSet``, and ``realize_channel`` realises all of them at
+once for the current UE positions: per link, the distance term of the path
+loss, and for the LOS links one shared exponential of their steering
+phases.  Every float is computed in the same order as the direct formula,
+so a prepared link gives bit-identical channels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,9 +220,13 @@ class ChannelModel:
                    d_over_lambda=config.d_over_lambda,
                    tx_gain_dbi=config.tx_gain_dbi, ue_gain_dbi=config.ue_gain_dbi)
 
+    @cached_property
+    def loss_terms(self) -> tuple[PathLossTerms, PathLossTerms]:
+        """The (NLOS, LOS) path-loss terms, so ``loss_terms[los]`` picks one."""
+        return path_loss_terms(self.path_loss, False), path_loss_terms(self.path_loss, True)
 
-@dataclass(frozen=True)
-class LinkFading:
+
+class LinkFading(NamedTuple):
     """Per-episode random state of one BS->UE link.
 
     LOS links carry a single unit-modulus gain and take their departure
@@ -231,13 +237,6 @@ class LinkFading:
     gains: np.ndarray                # (N_p,) complex
     aods: np.ndarray | None          # (N_p,) for NLOS, None for LOS
     shadow_db: float
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Assembled channel vector."""
-
-    h: np.ndarray                    # (M,) complex
 
 
 class PreparedLink(NamedTuple):
@@ -252,27 +251,43 @@ class PreparedLink(NamedTuple):
     los: bool
     loss: PathLossTerms
     shadow_db: float
-    tx_gain_dbi: float
-    ue_gain_dbi: float
-    m: int
-    d_over_lambda: float
-    sqrt_m: float
     los_gain: complex | None         # LOS only
     h_nlos: np.ndarray | None        # (M,) complex, NLOS only
 
 
+class LinkSet(NamedTuple):
+    """Links realised together at every step, one channel row each.
+
+    ``small`` holds each NLOS row's path sum; the rows ``los_rows`` are
+    filled in at each step, from one exponential shared by every LOS link,
+    scaled by their gains ``los_gains`` (a column).
+    """
+
+    links: tuple                     # PreparedLink per row
+    los_rows: np.ndarray             # (L,) row indices
+    los_gains: np.ndarray            # (L, 1) complex
+    small: np.ndarray                # (n, M) complex
+    ramp: np.ndarray                 # (M,) steering phase factor
+    sqrt_m: float
+    tx_gain_dbi: float
+    ue_gain_dbi: float
+
+
 def draw_link_fading(model: ChannelModel, rng: np.random.Generator) -> LinkFading:
     """One stochastic draw: LOS coin, shadowing, and NLOS gains/angles."""
+    # rng.normal(0, sigma) and rng.uniform(0, high) would draw the same
+    # numbers through the same arithmetic, loc + scale * z and
+    # low + (high - low) * u, only with more call overhead
     los = bool(rng.random() < model.p_los)
     sigma = model.path_loss.shadow_los_db if los else model.path_loss.shadow_nlos_db
-    shadow = float(rng.normal(0.0, sigma))
+    shadow = 0.0 + sigma * rng.standard_normal()
     if los:
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+        phase = 2.0 * math.pi * rng.random()
         gains = np.array([np.exp(1j * phase)])
         aods = None
     else:
         n_p = model.n_paths_nlos
-        aods = rng.uniform(0.0, math.pi, size=n_p)
+        aods = math.pi * rng.random(n_p)
         gains = (rng.normal(size=n_p) + 1j * rng.normal(size=n_p)) / math.sqrt(2.0 * n_p)
     return LinkFading(los=los, gains=gains, aods=aods, shadow_db=shadow)
 
@@ -284,41 +299,68 @@ def bearing(site: BsSite, x: float, y: float) -> float:
 
 def prepare_link(model: ChannelModel, fading: LinkFading, site: BsSite,
                  m: int) -> PreparedLink:
-    """Fold one episode's fading draw and the model constants into a link."""
+    """Fold one episode's fading draw and the model constants into a link.
+
+    An NLOS link's sum over its paths is built from one (N_p, M) exponential
+    of the steering phases, accumulated path by path in draw order, which
+    is the float order of adding up one steering vector per path.
+    """
     h_nlos = None
     if not fading.los:
-        h_nlos = np.zeros(m, dtype=complex)
-        for g, aod in zip(fading.gains, fading.aods):
-            h_nlos += g * steering_vector(aod, m, model.d_over_lambda)
-    return PreparedLink(site=site, los=fading.los,
-                        loss=path_loss_terms(model.path_loss, fading.los),
-                        shadow_db=fading.shadow_db, tx_gain_dbi=model.tx_gain_dbi,
-                        ue_gain_dbi=model.ue_gain_dbi, m=m,
-                        d_over_lambda=model.d_over_lambda, sqrt_m=math.sqrt(m),
+        cos = np.array([math.cos(aod) for aod in fading.aods.tolist()])
+        beams = np.exp(np.multiply.outer(cos, _phase_ramp(m, model.d_over_lambda)))
+        beams /= math.sqrt(m)
+        h_nlos = np.add.accumulate(fading.gains[:, None] * beams, axis=0)[-1]
+    return PreparedLink(site=site, los=fading.los, loss=model.loss_terms[fading.los],
+                        shadow_db=fading.shadow_db,
                         los_gain=fading.gains[0] if fading.los else None,
                         h_nlos=h_nlos)
 
 
-def realize_channel(link: PreparedLink, ue_x: float, ue_y: float) -> ChannelRealization:
-    """Build the channel vector at the current UE position.
+def link_set(model: ChannelModel, links: Sequence[PreparedLink], m: int) -> LinkSet:
+    """Gather prepared links into the set ``realize_channel`` takes."""
+    small = np.zeros((len(links), m), dtype=complex)
+    for i, link in enumerate(links):
+        if not link.los:
+            small[i] = link.h_nlos
+    los_rows = [i for i, link in enumerate(links) if link.los]
+    los_gains = np.array([links[i].los_gain for i in los_rows], dtype=complex)
+    return LinkSet(links=tuple(links), los_rows=np.array(los_rows, dtype=np.intp),
+                   los_gains=los_gains[:, None],
+                   small=small, ramp=_phase_ramp(m, model.d_over_lambda),
+                   sqrt_m=math.sqrt(m), tx_gain_dbi=model.tx_gain_dbi,
+                   ue_gain_dbi=model.ue_gain_dbi)
+
+
+def realize_channel(links: LinkSet, positions: Sequence) -> np.ndarray:
+    """The (n, M) channel rows of the links at the UE positions, one (x, y)
+    per link.
 
     Path loss follows the instantaneous distance; the LOS angle follows the
-    instantaneous bearing, so the channel tracks the mobility.
+    instantaneous bearing, so the channel tracks the mobility.  Row i is
+    ``g * a(bearing) * (sqrt(M) / rho)`` for a LOS link and
+    ``h_nlos * (sqrt(M) / rho)`` for an NLOS one.
     """
-    site = link.site
-    d = math.hypot(ue_x - site.x, ue_y - site.y)
-    pl_eff = link.loss.at(d) + link.shadow_db - link.tx_gain_dbi - link.ue_gain_dbi
-    rho = 10.0 ** (pl_eff / 20.0)
-    if link.los:
-        small = link.los_gain * steering_vector(bearing(site, ue_x, ue_y), link.m,
-                                                link.d_over_lambda)
-    else:
-        small = link.h_nlos
-    return ChannelRealization(h=small * (link.sqrt_m / rho))
+    scales = []
+    cos_los = []
+    for link, (x, y) in zip(links.links, positions):
+        site = link.site
+        d = math.hypot(x - site.x, y - site.y)
+        pl_eff = link.loss.at(d) + link.shadow_db - links.tx_gain_dbi - links.ue_gain_dbi
+        scales.append(links.sqrt_m / 10.0 ** (pl_eff / 20.0))
+        if link.los:
+            cos_los.append(math.cos(bearing(site, x, y)))
+    h = links.small.copy()
+    if cos_los:
+        beams = np.exp(np.multiply.outer(np.array(cos_los), links.ramp))
+        beams /= links.sqrt_m
+        h[links.los_rows] = links.los_gains * beams
+    h *= np.array(scales)[:, None]
+    return h
 
 
 def sample_channel(model: ChannelModel, site: BsSite, ue_x: float, ue_y: float,
-                   m: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw fading and realise the channel in one go."""
-    return realize_channel(prepare_link(model, draw_link_fading(model, rng), site, m),
-                           ue_x, ue_y)
+                   m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw fading and realise the (M,) channel in one go."""
+    link = prepare_link(model, draw_link_fading(model, rng), site, m)
+    return realize_channel(link_set(model, [link], m), [(ue_x, ue_y)])[0]

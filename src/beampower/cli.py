@@ -1,8 +1,8 @@
 """Command-line front end: seeded experiment runs, the exhaustive baseline,
 trace post-processing and a self-check against shipped golden traces.
 
-Exit codes: 0 success, 1 configuration error, 2 run failure,
-3 verification failure.
+Exit codes: 0 success, 1 configuration error, 2 bad command-line usage,
+missing inputs or a failed run, 3 verification or report mismatch.
 """
 
 from __future__ import annotations

@@ -186,8 +186,8 @@ class NetworkConfig:
             raise ConfigError("oracle_power_grid may not exceed max_power_dbm")
         if self.episode_cap < 1:
             raise ConfigError(f"episode_cap must be >= 1, got {self.episode_cap}")
-        if self.frame_steps < 0:
-            raise ConfigError(f"frame_steps must be >= 0, got {self.frame_steps}")
+        if self.frame_steps < 1:
+            raise ConfigError(f"frame_steps must be >= 1, got {self.frame_steps}")
         if not 1 <= self.n_prb_ue <= self.n_prb_total:
             raise ConfigError("need 1 <= n_prb_ue <= n_prb_total")
         if not 0 <= self.voice_activity <= 1:

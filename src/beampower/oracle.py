@@ -16,6 +16,12 @@ from .channel import BeamCodebook
 from .radio import CodeRateMap, RadioState, effective_sinr_db, sinr_db
 
 
+def n_candidates(n_powers: int, n_beams: int) -> int:
+    """Joint assignments the scan scores per step: a (power, beam) pair for
+    each of the two BSs."""
+    return (n_powers * n_beams) ** 2
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Per-BS power grid (absolute dBm levels) and shared beam codebook of
@@ -26,7 +32,7 @@ class SearchSpace:
 
     @property
     def n_candidates(self) -> int:
-        return (len(self.power_grid_dbm) * len(self.codebook)) ** 2
+        return n_candidates(len(self.power_grid_dbm), len(self.codebook))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,8 @@ def lin_to_db(lin: float) -> float:
 
 
 def rx_power_mw(p_tx_dbm: float, h: np.ndarray, f: np.ndarray) -> float:
-    """P_rx = P_tx(linear mW) * |h^H f|^2."""
-    if h.shape != f.shape:
-        raise ValueError(f"channel/beam shape mismatch: {h.shape} vs {f.shape}")
+    """P_rx = P_tx(linear mW) * |h^H f|^2; ``np.vdot`` raises ValueError
+    when the channel and the beam differ in length."""
     return db_to_lin(p_tx_dbm) * abs(np.vdot(h, f)) ** 2
 
 
@@ -51,7 +50,7 @@ class RadioState:
 
     powers_dbm: tuple
     beams: tuple
-    channels: Sequence            # channels[ue][bs] -> ChannelRealization
+    channels: Sequence            # channels[ue][bs] -> (M,) complex array
     codebook: BeamCodebook
     noise_mw: float
     q: int
@@ -59,11 +58,11 @@ class RadioState:
 
 def sinr_db(state: RadioState, ue: int) -> float:
     """Serving power over noise plus inter-cell interference, in dB."""
-    num = rx_power_mw(state.powers_dbm[ue], state.channels[ue][ue].h,
+    num = rx_power_mw(state.powers_dbm[ue], state.channels[ue][ue],
                       state.codebook.beam(state.beams[ue]))
     other = 1 - ue
     den = state.noise_mw + rx_power_mw(state.powers_dbm[other],
-                                       state.channels[ue][other].h,
+                                       state.channels[ue][other],
                                        state.codebook.beam(state.beams[other]))
     return lin_to_db(num / den)
 

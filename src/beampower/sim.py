@@ -16,8 +16,9 @@ Conventions
 * Each BS->UE link is prepared once per episode from its fading draw
   (:func:`beampower.channel.prepare_link`): path-loss constants, shadowing
   and, for an NLOS link, the small-scale sum over its fixed paths.  A step
-  realises the four links at the current positions, which costs a distance,
-  a path-loss term and a scale (plus one steering vector for a LOS link).
+  realises the four links together at the current positions
+  (:func:`beampower.channel.realize_channel`): a distance, a path-loss term
+  and a scale per link, plus one exponential shared by the LOS links.
 """
 
 from __future__ import annotations
@@ -29,14 +30,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, decay_epsilon,
-                     normalize_state, select_action, sgd_step, tabular_update)
-from .channel import (ChannelModel, build_codebook, noise_power_dbm, prepare_link,
-                      realize_channel, draw_link_fading)
+from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
+                     decay_epsilon, normalize_state, select_action, sgd_step,
+                     tabular_update)
+from .channel import (ChannelModel, build_codebook, draw_link_fading, link_set,
+                      noise_power_dbm, prepare_link, realize_channel)
 from .config import ConfigError, NetworkConfig, text_hash
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
-from .oracle import SearchSpace, brute_force
+from .oracle import SearchSpace, brute_force, n_candidates
 from .radio import (CodeRateMap, RadioState, db_to_lin, decode_action,
                     apply_power_cmd, effective_sinr_db, fpa_power_dbm,
                     reward_value, sinr_db, step_beam, sum_rate)
@@ -114,10 +116,9 @@ class TwoCellEnv:
         self.beams = [0] * self.n_ues
 
         self.episode = -1
-        self._angles = None          # [ue] walk directions, T each
-        self._traj = None            # (n_ues, T+1, 2), valid up to _walked
-        self._walked = 0
-        self._links = None           # [ue][bs] PreparedLink
+        self._angles = None          # [ue] walk directions, T floats each
+        self._traj = None            # [ue] positions (x, y) walked so far
+        self._links = None           # LinkSet, row N_CELLS * ue + bs
         self._chan_cache = {}
 
     # ---- episode lifecycle -------------------------------------------------
@@ -133,50 +134,49 @@ class TwoCellEnv:
         The walk is advanced on demand by ``_walk_to``.
         """
         self.episode = self.episode + 1 if episode is None else episode
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.seed, _STREAM_EPISODE, self.episode)))
-        t = self.t_steps
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((self.seed, _STREAM_EPISODE, self.episode))))
+        sites = self.layout.sites
         drops = []
-        for site in self.layout.sites:
+        for site in sites:
             while True:
                 x, y = uniform_disk_point(rng, site.x, site.y,
                                           self.config.cell_radius_m)
                 if associate(x, y, self.layout) == site.id:
                     break
             drops.append((x, y))
-        self._angles = [rng.uniform(0.0, 2.0 * math.pi, size=t)
-                        for _ in range(self.n_ues)]
-        self._links = [[prepare_link(self.chan_model, draw_link_fading(self.chan_model, rng),
-                                     site, self.m)
-                        for site in self.layout.sites] for _ in range(self.n_ues)]
-        self._traj = np.empty((self.n_ues, t + 1, 2))
-        self._traj[:, 0] = drops
-        self._walked = 0
+        # one row per UE, drawn in the order of one draw per UE
+        self._angles = rng.uniform(0.0, 2.0 * math.pi,
+                                   size=(self.n_ues, self.t_steps)).tolist()
+        model = self.chan_model
+        self._links = link_set(model, [
+            prepare_link(model, draw_link_fading(model, rng), site, self.m)
+            for _ in range(self.n_ues) for site in sites], self.m)
+        self._traj = [[drop] for drop in drops]
         self._chan_cache = {}
         return self.episode
 
     def _walk_to(self, pos_idx: int) -> None:
         """Advance every UE's walk until positions 0..pos_idx are known."""
-        if pos_idx <= self._walked:
+        walked = len(self._traj[0]) - 1
+        if pos_idx <= walked:
             return
-        traj = self._traj
-        for u in range(self.n_ues):
-            angles = self._angles[u]
-            site = self.layout.site(u)
-            x, y = float(traj[u, self._walked, 0]), float(traj[u, self._walked, 1])
-            for k in range(self._walked, pos_idx):
-                x += self._step_m * math.cos(angles[k])
-                y += self._step_m * math.sin(angles[k])
-                x, y = reflect_into_cell(x, y, site, self.config.cell_radius_m)
-                traj[u, k + 1] = (x, y)
-        self._walked = pos_idx
+        step, r = self._step_m, self.config.cell_radius_m
+        for site, angles, path in zip(self.layout.sites, self._angles, self._traj):
+            x, y = path[-1]
+            for a in angles[walked:pos_idx]:
+                x += step * math.cos(a)
+                y += step * math.sin(a)
+                x, y = reflect_into_cell(x, y, site, r)
+                path.append((x, y))
 
     # ---- per-step views ----------------------------------------------------
 
     def _state_at(self, pos_idx: int) -> np.ndarray:
         self._walk_to(pos_idx)
-        p = self._traj[:, pos_idx]
-        return np.array([p[IDX_ELL, 0], p[IDX_ELL, 1], p[IDX_B, 0], p[IDX_B, 1],
+        x_ell, y_ell = self._traj[IDX_ELL][pos_idx]
+        x_b, y_b = self._traj[IDX_B][pos_idx]
+        return np.array([x_ell, y_ell, x_b, y_b,
                          self.powers_dbm[IDX_ELL], self.powers_dbm[IDX_B],
                          float(self.beams[IDX_ELL]), float(self.beams[IDX_B])])
 
@@ -188,12 +188,14 @@ class TwoCellEnv:
         return self._state_at(min(k + 2, self.t_steps))
 
     def channels(self, k: int):
-        """channels[ue][bs] at step k, realised from the episode's links."""
+        """channels[ue][bs] at step k, (M,) arrays realised in one batch from
+        the episode's links."""
         if k not in self._chan_cache:
             self._walk_to(k + 1)
-            pos = self._traj[:, k + 1].tolist()
-            self._chan_cache[k] = [[realize_channel(link, *pos[u]) for link in links]
-                                   for u, links in enumerate(self._links)]
+            pos = [path[k + 1] for path in self._traj for _ in range(N_CELLS)]
+            h = realize_channel(self._links, pos)
+            self._chan_cache[k] = [[h[N_CELLS * u + b] for b in range(N_CELLS)]
+                                   for u in range(self.n_ues)]
         return self._chan_cache[k]
 
     def radio_state(self, k: int) -> RadioState:
@@ -481,13 +483,15 @@ class RunResult:
     wall_time_s: float
     decision_time_s: float
     steps_total: int
-    candidates_per_step: int | None = None
 
 
 def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
                    episode_cap: int | None = None,
                    stop_on_convergence: bool = True) -> RunResult:
-    """Run episodes until the target holds for a whole frame, or the cap."""
+    """Run episodes until the target holds for a whole frame, or the cap.
+
+    A ``TrainingDiverged`` is raised again with the episode index in front.
+    """
     if m not in config.m_list:
         raise ConfigError(f"M={m} is not in the configured m_list {config.m_list}")
     env = TwoCellEnv(config, m, seed)
@@ -495,18 +499,19 @@ def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
     cap = episode_cap if episode_cap is not None else config.episode_cap
     episodes = []
     for _ in range(cap):
-        res = run_episode(env, engine)
+        try:
+            res = run_episode(env, engine)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"episode {env.episode}: {exc}") from exc
         episodes.append(res)
         if stop_on_convergence and res.converged:
             break
     zeta = convergence_episode(episodes)
-    cands = engine.space.n_candidates if isinstance(engine, BruteForceEngine) else None
     return RunResult(engine=engine_name, m=m, seed=seed, episodes=episodes,
                      zeta=zeta,
                      wall_time_s=sum(e.wall_time_s for e in episodes),
                      decision_time_s=sum(e.decision_time_s for e in episodes),
-                     steps_total=sum(len(e.steps) for e in episodes),
-                     candidates_per_step=cands)
+                     steps_total=sum(len(e.steps) for e in episodes))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +707,7 @@ def episodes_from_rows(rows: Sequence[dict], config: NetworkConfig,
                             loss=r["loss"])
                  for r in sorted(groups[idx], key=lambda r: r["t"])]
         aborted = min(steps[-1].eff_sinr_db) < gamma_min
-        converged = (t_steps > 0 and not aborted and len(steps) == t_steps
+        converged = (not aborted and len(steps) == t_steps
                      and all(min(s.eff_sinr_db) >= gamma_target for s in steps))
         episodes.append(EpisodeResult(index=idx, steps=steps, converged=converged,
                                       aborted=aborted, wall_time_s=0.0,
@@ -712,8 +717,7 @@ def episodes_from_rows(rows: Sequence[dict], config: NetworkConfig,
 
 def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
                        episodes: Sequence[EpisodeResult],
-                       decision_time_s: float = 0.0, wall_time_s: float = 0.0,
-                       candidates_per_step: int | None = None) -> dict:
+                       decision_time_s: float = 0.0, wall_time_s: float = 0.0) -> dict:
     """One summary row; everything except the timing columns derives from
     the trace alone.  ``ccdf_file`` is left empty for the caller to name."""
     zeta = convergence_episode(episodes)
@@ -739,7 +743,8 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
         "lost_voice_frames": lost,
         "backhaul_msgs_per_episode": backhaul_messages_per_episode(
             config, N_CELLS, config.frame_steps),  # one active UE per BS
-        "candidates_per_step": candidates_per_step,
+        "candidates_per_step": (n_candidates(len(config.oracle_power_grid), m)
+                                if engine == "brute_force" else None),
         "decision_time_s": decision_time_s,
         "wall_time_s": wall_time_s,
         "ccdf_file": "",
@@ -749,8 +754,7 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
 def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
     return summarize_episodes(config, run.m, run.seed, run.engine, run.episodes,
                               decision_time_s=run.decision_time_s,
-                              wall_time_s=run.wall_time_s,
-                              candidates_per_step=run.candidates_per_step)
+                              wall_time_s=run.wall_time_s)
 
 
 def summary_lines(rows: Sequence[dict]) -> list[str]:

@@ -124,6 +124,63 @@ def test_sgd_step_matches_central_differences():
             assert abs(fd - g) <= 1e-4 * max(1.0, abs(fd), abs(g))
 
 
+def _sgd_two_passes(params, states, actions, rewards, next_states, live, discount, eta):
+    """Reference SGD step: separate forward passes for the targets and the
+    predictions, one update per parameter; returns (new params, loss)."""
+    w1, b1, w2, b2, w3, b3 = [p.copy() for p in params]
+
+    def hidden(x):
+        h1 = 1.0 / (1.0 + np.exp(-(x @ w1.T + b1)))
+        h2 = 1.0 / (1.0 + np.exp(-(h1 @ w2.T + b2)))
+        return h1, h2, h2 @ w3.T + b3
+
+    n = len(actions)
+    rows = np.arange(n)
+    targets = np.where(live, rewards + discount * hidden(next_states)[2].max(axis=1),
+                       rewards)
+    h1, h2, q = hidden(states)
+    err = targets - q[rows, actions]
+    loss = float(np.mean(err ** 2))
+    g3 = np.zeros_like(q)
+    g3[rows, actions] = -2.0 * err / n
+    d2 = (g3 @ w3) * h2 * (1.0 - h2)
+    d1 = (d2 @ w2) * h1 * (1.0 - h1)
+    grads = [d1.T @ states, d1.sum(axis=0), d2.T @ h1, d2.sum(axis=0),
+             g3.T @ h2, g3.sum(axis=0)]
+    return [p - eta * g for p, g in zip((w1, b1, w2, b2, w3, b3), grads)], loss
+
+
+def test_stacked_sgd_step_matches_two_forward_passes_bit_for_bit():
+    # one forward pass over [states; next_states] and one update of the flat
+    # parameter array must give the floats of the two-pass, per-parameter
+    # step; a one-row minibatch is left out, because numpy multiplies a
+    # single row as a matrix-vector product (gemv), whose sums may round
+    # differently from the matrix product of the stacked pair
+    rng = np.random.default_rng(77)
+    for trial in range(300):
+        n = int(rng.choice([2, 5, 32]))
+        net = _net(trial)
+        batch = _random_batch(rng, n)
+        discount, eta = float(rng.uniform(0.5, 1.0)), float(10.0 ** rng.uniform(-4, -1))
+        for _ in range(3):
+            want, want_loss = _sgd_two_passes(net.params(), *batch, discount, eta)
+            _, loss = sgd_step(net, *batch, discount, eta)
+            assert loss == want_loss
+            for got, ref in zip(net.params(), want):
+                assert np.array_equal(got, ref)
+
+
+def test_parameters_are_views_of_the_flat_arrays():
+    net = _net(3)
+    assert sum(p.size for p in net.params()) == net.theta.size == net.grad.size
+    for p in net.params():
+        assert np.shares_memory(p, net.theta)
+    clone = net.copy()
+    clone.w2[0, 0] += 1.0
+    assert clone.theta[net.w1.size + net.b1.size] == net.w2[0, 0] + 1.0
+    assert not np.shares_memory(clone.theta, net.theta)
+
+
 def test_sgd_step_fits_fixed_batch():
     # terminal experiences pin the targets, so repeating the same batch is
     # plain least-squares regression and the loss has to fall

@@ -13,8 +13,10 @@ from beampower.channel import (
     bearing,
     build_codebook,
     draw_link_fading,
+    link_set,
     noise_power_dbm,
     path_loss_db,
+    path_loss_terms,
     prepare_link,
     realize_channel,
     sample_channel,
@@ -113,6 +115,12 @@ def _data_model() -> ChannelModel:
     return ChannelModel.from_config(NetworkConfig(q=1, m_list=(4,)))
 
 
+def _realize_one(model, fading, site, m, x, y) -> np.ndarray:
+    """One link's channel at (x, y), through a one-row link set."""
+    return realize_channel(link_set(model, [prepare_link(model, fading, site, m)], m),
+                           [(x, y)])[0]
+
+
 def test_direct_path_matches_its_codebook_beam():
     # one-path channel at a bin-center angle peaks at that bin's beam
     model = _data_model()
@@ -124,8 +132,8 @@ def test_direct_path_matches_its_codebook_beam():
             fad = LinkFading(los=True, gains=np.array([1.0 + 0.0j]),
                              aods=np.array([theta]), shadow_db=0.0)
             x, y = 100.0 * math.cos(theta), 100.0 * math.sin(theta)
-            ch = realize_channel(prepare_link(model, fad, site, m), x, y)
-            gains = [abs(np.vdot(ch.h, cb.beam(k))) for k in range(m)]
+            ch = _realize_one(model, fad, site, m, x, y)
+            gains = [abs(np.vdot(ch, cb.beam(k))) for k in range(m)]
             assert int(np.argmax(gains)) == n
 
 
@@ -137,9 +145,9 @@ def test_beam_gain_bounded_by_channel_norm():
     for _ in range(100):
         ch = sample_channel(model, site, rng.uniform(10, 150), rng.uniform(-50, 50),
                             8, rng)
-        hnorm2 = float(np.vdot(ch.h, ch.h).real)
+        hnorm2 = float(np.vdot(ch, ch).real)
         for n in range(8):
-            assert abs(np.vdot(ch.h, cb.beam(n))) ** 2 <= hnorm2 * (1 + 1e-9)
+            assert abs(np.vdot(ch, cb.beam(n))) ** 2 <= hnorm2 * (1 + 1e-9)
 
 
 def test_channel_power_tracks_amplitude_ratio():
@@ -150,11 +158,11 @@ def test_channel_power_tracks_amplitude_ratio():
     vals = []
     for _ in range(4000):
         fad = draw_link_fading(model, rng)
-        ch = realize_channel(prepare_link(model, fad, site, 8), 80.0, 35.0)
+        ch = _realize_one(model, fad, site, 8, 80.0, 35.0)
         pl_eff = (path_loss_db(model.path_loss, math.hypot(80.0, 35.0), fad.los)
                   + fad.shadow_db - model.tx_gain_dbi - model.ue_gain_dbi)
         rho = 10.0 ** (pl_eff / 20.0)
-        vals.append(float(np.vdot(ch.h, ch.h).real) * rho**2 / 8.0)
+        vals.append(float(np.vdot(ch, ch).real) * rho**2 / 8.0)
     assert np.mean(vals) == pytest.approx(1.0, rel=0.05)
 
 
@@ -182,3 +190,75 @@ def test_voice_layout_uses_single_antenna():
     assert env.m == 1
     assert len(env.codebook) == 1
     assert env.codebook.beam(0) == pytest.approx(np.array([1.0 + 0.0j]))
+
+
+def _random_fading(rng, los: bool, n_paths: int) -> LinkFading:
+    if los:
+        return LinkFading(los=True, gains=np.array([np.exp(1j * rng.uniform(0, 2 * math.pi))]),
+                          aods=None, shadow_db=float(rng.normal(0.0, 6.0)))
+    gains = (rng.normal(size=n_paths) + 1j * rng.normal(size=n_paths)) / math.sqrt(2 * n_paths)
+    return LinkFading(los=False, gains=gains, aods=rng.uniform(0.0, math.pi, size=n_paths),
+                      shadow_db=float(rng.normal(0.0, 6.0)))
+
+
+@pytest.mark.parametrize("m", [1, 8, 64])
+@pytest.mark.parametrize("n_paths", [4, 15])
+def test_nlos_sum_matches_the_per_path_loop_bit_for_bit(m, n_paths):
+    # reference: one steering vector per path, added in draw order
+    rng = np.random.default_rng(1000 * m + n_paths)
+    site = BsSite(id=0, x=0.0, y=0.0)
+    for d_over_lambda in (0.5, 0.37):
+        model = ChannelModel(path_loss=PathLossModel.close_in(), p_los=0.0,
+                             n_paths_nlos=n_paths, d_over_lambda=d_over_lambda)
+        for _ in range(200):
+            fad = _random_fading(rng, False, n_paths)
+            ref = np.zeros(m, dtype=complex)
+            for g, aod in zip(fad.gains, fad.aods):
+                ref += g * steering_vector(aod, m, d_over_lambda)
+            assert np.array_equal(prepare_link(model, fad, site, m).h_nlos, ref)
+
+
+def _single_link_channel(model, fading, site, x, y, m):
+    """The direct formula of one link's channel at (x, y)."""
+    d = math.hypot(x - site.x, y - site.y)
+    pl_eff = (path_loss_terms(model.path_loss, fading.los).at(d) + fading.shadow_db
+              - model.tx_gain_dbi - model.ue_gain_dbi)
+    rho = 10.0 ** (pl_eff / 20.0)
+    if fading.los:
+        small = fading.gains[0] * steering_vector(bearing(site, x, y), m,
+                                                  model.d_over_lambda)
+    else:
+        small = np.zeros(m, dtype=complex)
+        for g, aod in zip(fading.gains, fading.aods):
+            small += g * steering_vector(aod, m, model.d_over_lambda)
+    return small * (math.sqrt(m) / rho)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_batched_channel_rows_match_the_single_link_formula(q):
+    # random link sets of every LOS/NLOS mix, realised in one batch: each
+    # row must be the channel its link alone would give, float for float
+    rng = np.random.default_rng(31 + q)
+    sites = (BsSite(id=0, x=0.0, y=0.0), BsSite(id=1, x=525.0, y=0.0))
+    mixes = set()
+    for _ in range(300):
+        m = 1 if q == 0 else int(rng.choice([2, 4, 8, 16, 64]))
+        cfg = NetworkConfig(q=q, tx_gain_dbi=float(rng.uniform(0, 9)),
+                            ue_gain_dbi=float(rng.uniform(0, 3)),
+                            d_over_lambda=float(rng.choice([0.5, 0.42])))
+        model = ChannelModel.from_config(cfg)
+        n = int(rng.integers(1, 7))
+        fadings = [_random_fading(rng, bool(rng.integers(2)), cfg.n_paths_nlos)
+                   for _ in range(n)]
+        row_sites = [sites[int(rng.integers(2))] for _ in range(n)]
+        positions = [(float(rng.uniform(-400, 900)), float(rng.uniform(-400, 400)))
+                     for _ in range(n)]
+        links = link_set(model, [prepare_link(model, f, s, m)
+                                 for f, s in zip(fadings, row_sites)], m)
+        h = realize_channel(links, positions)
+        assert h.shape == (n, m)
+        mixes.add(tuple(f.los for f in fadings))
+        for row, f, s, (x, y) in zip(h, fadings, row_sites, positions):
+            assert np.array_equal(row, _single_link_channel(model, f, s, x, y, m))
+    assert (True,) in mixes and (False,) in mixes
+    assert any(True in mix and False in mix for mix in mixes)

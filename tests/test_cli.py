@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,11 @@ def test_report_reproduces_every_run_of_a_seed_sweep(tmp_path):
             out = tmp_path / f"q{q}_s{seed}"
             assert cli.main(["run", "--config", cfg, "--out", str(out),
                              "--seeds", str(seed)]) == 0
+            if q == 1 and seed <= 2:
+                # the exhaustive baseline too, kept short: 256 candidates a step
+                assert cli.main(["run", "--config", cfg, "--out", str(out),
+                                 "--seeds", str(seed), "--engines", "brute_force",
+                                 "--m", "4", "--episodes", "2"]) == 0
             if cli.main(["report", "--dir", str(out)]) != 0:
                 failing.append((q, seed))
     assert failing == []
@@ -179,6 +185,21 @@ def test_first_failing_job_stops_the_run_in_job_order(tmp_path, monkeypatch, cap
     rows = read_summary(out / "summary.csv")
     assert [(r["engine"], r["seed"]) for r in rows] == [
         ("fpa", "1"), ("tabular", "1"), ("tabular", "2"), ("tabular", "3")]
+
+
+def test_a_diverged_run_names_its_episode(tmp_path, capsys):
+    # a huge learning rate makes the q=1 learner's loss overflow early on
+    cfg = _write_cfg(tmp_path, "q = 1\nengines = dqn\nm_list = 4\nseeds = 1\n"
+                               "episode_cap = 200\nlearning_rate = 1000\n")
+    errors = []
+    for workers in (1, 2):
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / f"w{workers}"),
+                       "--workers", str(workers)])
+        assert rc == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert re.fullmatch(r"run failed for engine=dqn M=4 seed=1: episode \d+: "
+                        r"training loss is not finite: \S+\n", errors[0])
 
 
 def test_parallel_run_writes_the_serial_bytes(tmp_path):

@@ -65,6 +65,17 @@ def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_frame_steps_below_one_is_a_config_error(tmp_path, capsys, value):
+    # a frame without steps would write empty traces that report cannot read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"q = 0\nengines = fpa\nepisode_cap = 1\nframe_steps = {value}\n")
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "frame_steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("q = 0\nengines = fpa\nseeds = 2\nepisode_cap = 1\n")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beampower.channel import ChannelRealization, build_codebook
+from beampower.channel import build_codebook
 from beampower.config import NetworkConfig
 from beampower.radio import (
     N_ACTIONS,
@@ -48,8 +48,8 @@ def test_rx_power_known_case():
         rx_power_mw(0.0, h, np.ones(2, dtype=complex))
 
 
-def _chan(amp: float) -> ChannelRealization:
-    return ChannelRealization(h=np.array([amp + 0.0j]))
+def _chan(amp: float) -> np.ndarray:
+    return np.array([amp + 0.0j])
 
 
 def _two_cell_state(p0=40.0, p1=40.0):

@@ -59,7 +59,7 @@ def test_channels_are_engine_independent():
         assert np.array_equal(env_a.observe(k)[:4], env_b.observe(k)[:4])
     for u in range(2):
         for s in range(2):
-            assert np.allclose(env_a.channels(0)[u][s].h, env_b.channels(0)[u][s].h)
+            assert np.allclose(env_a.channels(0)[u][s], env_b.channels(0)[u][s])
 
 
 def test_walk_does_not_depend_on_read_order():
@@ -83,8 +83,8 @@ def test_walk_does_not_depend_on_read_order():
     early = env_c.channels(0)
     for u in range(2):
         for s in range(2):
-            assert np.array_equal(env_a.channels(t - 1)[u][s].h, late[u][s].h)
-            assert np.array_equal(env_a.channels(0)[u][s].h, early[u][s].h)
+            assert np.array_equal(env_a.channels(t - 1)[u][s], late[u][s])
+            assert np.array_equal(env_a.channels(0)[u][s], early[u][s])
     for k in range(t):
         for u in range(2):
             # the walk stays inside the serving cell
@@ -143,7 +143,7 @@ def test_prepared_links_match_direct_formula_bit_for_bit(link_draws, q, m, p_los
                     for b, site in enumerate(env.layout.sites):
                         ref = _reference_channel(model, fading[u][b], site,
                                                  pos[2 * u], pos[2 * u + 1], m)
-                        assert np.array_equal(chans[u][b].h, ref)
+                        assert np.array_equal(chans[u][b], ref)
     assert kinds == ({True, False} if p_los is None else {p_los == 1.0})
 
 
@@ -223,7 +223,7 @@ def test_replay_matches_live_channels():
     replayed = replay_episode_channels(cfg, 4, 11, 2)[0]
     for u in range(2):
         for s in range(2):
-            assert np.allclose(live[u][s].h, replayed[u][s].h)
+            assert np.allclose(live[u][s], replayed[u][s])
 
 
 def test_zero_length_frame():
@@ -339,8 +339,7 @@ def test_trace_round_trip(tmp_path):
     assert [e.aborted for e in rebuilt] == [e.aborted for e in run.episodes]
     # and the summary rows are equal on everything except wall-clock fields
     direct = summarize_run(cfg, run)
-    recomputed = summarize_episodes(cfg, 1, 3, "fpa", rebuilt,
-                                    candidates_per_step=run.candidates_per_step)
+    recomputed = summarize_episodes(cfg, 1, 3, "fpa", rebuilt)
     for key, val in direct.items():
         if key not in sim.TIMING_COLUMNS:
             assert recomputed[key] == val, key
@@ -372,4 +371,4 @@ def test_brute_force_engine_reaches_oracle_levels():
     step = run.episodes[0].steps[0]
     # the joint optimum in a race condition is both sites at full power
     assert step.powers_dbm == (46.0, 46.0)
-    assert run.candidates_per_step == (4 * 4) ** 2
+    assert summarize_run(cfg, run)["candidates_per_step"] == (4 * 4) ** 2
