@@ -73,8 +73,14 @@ class BeamCodebook:
     def __len__(self) -> int:
         return self.m
 
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows of ``beams`` as a tuple of views, so ``beam(n)`` is a
+        tuple lookup rather than a fresh numpy view."""
+        return tuple(self.beams)
+
     def beam(self, n: int) -> np.ndarray:
-        return self.beams[n]
+        return self.rows[n]
 
 
 def build_codebook(m: int, d_over_lambda: float = 0.5,

@@ -84,7 +84,8 @@ def _formatted(row: dict) -> dict:
 
 
 def _append_summary(path: Path, rows: list) -> list[dict]:
-    """Merge ``rows`` into the summary by (engine, M, seed); return the rows written."""
+    """Merge ``rows`` into the summary by (engine, M, seed); return the rows
+    written.  Rows read back are written as read; only new rows are formatted."""
     existing = sim.read_summary(path) if path.exists() else []
     merged = {(r["engine"], r["m"], r["seed"]): r
               for r in existing + [_formatted(row) for row in rows]}
@@ -181,6 +182,7 @@ def cmd_ccdf(args) -> int:
 
 
 def _recompute_summary_rows(trace_dir: Path) -> list[dict]:
+    """The summary row of every trace in ``trace_dir``, formatted as text."""
     rows = []
     for path in sorted(trace_dir.glob("trace_*.csv")):
         config, trace = sim.read_trace(path)
@@ -193,18 +195,19 @@ def _recompute_summary_rows(trace_dir: Path) -> list[dict]:
         best = sim.best_complete_episode(episodes)
         if best is not None:
             row["ccdf_file"] = f"ccdf_{engine}_M{m}_s{seed}.csv"
-        rows.append(row)
+        rows.append(_formatted(row))
     return rows
 
 
 def _summary_mismatches(rows: list[dict], summary_path: Path) -> list[tuple]:
     """(key, column, summary value, recomputed value) for each non-timing
-    difference from ``summary_path``, including a recomputed row it lacks."""
+    difference of the text ``rows`` from ``summary_path``, including a
+    recomputed row it lacks."""
     original = {(r["engine"], r["m"], r["seed"]): r
                 for r in sim.read_summary(summary_path)}
     compare = [c for c in sim.SUMMARY_COLUMNS if c not in sim.TIMING_COLUMNS]
     mismatches = []
-    for row in map(_formatted, rows):
+    for row in rows:
         key = (row["engine"], row["m"], row["seed"])
         got = original.get(key)
         if got is None:
@@ -309,14 +312,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=8)
+def build_parser(default_out: str) -> argparse.ArgumentParser:
+    """The parser, built once per default output directory; ``main`` passes
+    ``_default_out()`` so a changed ``$BEAMPOWER_OUT`` still takes effect."""
     p = argparse.ArgumentParser(prog="beampower",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_run_args(sp):
         sp.add_argument("--config", help="path to a key=value config file")
-        sp.add_argument("--out", default=_default_out(),
+        sp.add_argument("--out", default=default_out,
                         help=f"output directory (default ${OUT_ENV_VAR} or ./results)")
         sp.add_argument("--engines", help="comma-separated engine filter")
         sp.add_argument("--m", help="comma-separated codebook sizes")
@@ -327,32 +333,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run the configured experiment matrix")
     add_run_args(sp)
-    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("oracle", help="run the exhaustive-search baseline only")
     add_run_args(sp)
-    sp.set_defaults(fn=cmd_oracle)
 
-    sp = sub.add_parser("verify", help="self-check against shipped golden traces")
-    sp.set_defaults(fn=cmd_verify)
+    sub.add_parser("verify", help="self-check against shipped golden traces")
 
     sp = sub.add_parser("ccdf", help="effective-SINR CCDF from a trace file")
     sp.add_argument("--trace", required=True)
     sp.add_argument("--out")
     sp.add_argument("--all-steps", action="store_true",
                     help="pool every step instead of the best episode")
-    sp.set_defaults(fn=cmd_ccdf)
 
     sp = sub.add_parser("report", help="recompute summary metrics from traces")
     sp.add_argument("--dir", required=True)
-    sp.set_defaults(fn=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(_default_out()).parse_args(argv)
+    # looked up at call time, not bound into the cached parser, so a
+    # replaced ``cmd_*`` function is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -54,18 +54,18 @@ def brute_force(channels: Sequence, space: SearchSpace, q: int,
     only a strictly better objective replaces the incumbent, so ties
     resolve to the lexicographically smallest assignment.
     """
-    grid = space.power_grid_dbm
-    n_beams = len(space.codebook)
+    codebook = space.codebook
+    pairs = [(p, n) for p in space.power_grid_dbm for n in range(len(codebook))]
+    # one state per call: each candidate rebinds its powers and beams
+    state = RadioState(powers_dbm=None, beams=None, channels=channels,
+                       codebook=codebook, noise_mw=noise_mw, q=q)
     best = None
     n_eval = 0
-    per_bs = list(itertools.product(range(len(grid)), range(n_beams)))
-    for combo in itertools.product(per_bs, repeat=2):
-        powers = tuple(grid[pi] for pi, _ in combo)
-        beams = tuple(ni for _, ni in combo)
-        state = RadioState(powers_dbm=powers, beams=beams, channels=channels,
-                           codebook=space.codebook, noise_mw=noise_mw, q=q)
-        effs = tuple(effective_sinr_db(sinr_db(state, u), q, code_map)
-                     for u in range(2))
+    for (p0, n0), (p1, n1) in itertools.product(pairs, repeat=2):
+        state.powers_dbm = powers = (p0, p1)
+        state.beams = beams = (n0, n1)
+        effs = (effective_sinr_db(sinr_db(state, 0), q, code_map),
+                effective_sinr_db(sinr_db(state, 1), q, code_map))
         obj = sum(effs)
         n_eval += 1
         if best is None or obj > best[0]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -150,8 +151,10 @@ def _bit(a: int, i: int) -> int:
     return (a >> i) & 1
 
 
+@lru_cache(maxsize=None)
 def decode_action(a: int, q: int) -> JointCommand:
-    """Decode the 4-bit register for the given bearer."""
+    """Decode the 4-bit register for the given bearer.  Memoised: only the
+    32 valid (register, bearer) pairs return, and the command is frozen."""
     if not 0 <= a < N_ACTIONS:
         raise ValueError(f"action register must be in [0, {N_ACTIONS - 1}], got {a}")
     if q not in (0, 1):

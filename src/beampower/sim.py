@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +53,7 @@ _STREAM_AGENT = 303
 ENGINES = ("fpa", "tabular", "dqn", "brute_force")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     action: int | None
     reward: float
@@ -463,7 +462,7 @@ def run_episode(env: TwoCellEnv, engine, t_steps: int | None = None,
     if records and not aborted:
         last = records[-1]
         if min(last.eff_sinr_db) >= gamma_target:
-            records[-1] = replace(last, reward=last.reward + cfg.r_max)
+            records[-1] = last._replace(reward=last.reward + cfg.r_max)
             engine.finish_episode(cfg.r_max)
 
     converged = t_steps > 0 and not aborted and len(records) == t_steps and all_meet
@@ -491,6 +490,8 @@ def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
     """Run episodes until the target holds for a whole frame, or the cap.
 
     A ``TrainingDiverged`` is raised again with the episode index in front.
+    Overflow warnings are silenced for the whole run: a diverging learner
+    overflows before its loss stops being finite, and that check reports it.
     """
     if m not in config.m_list:
         raise ConfigError(f"M={m} is not in the configured m_list {config.m_list}")
@@ -498,14 +499,15 @@ def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
     engine = make_engine(engine_name, config, env, seed)
     cap = episode_cap if episode_cap is not None else config.episode_cap
     episodes = []
-    for _ in range(cap):
-        try:
-            res = run_episode(env, engine)
-        except TrainingDiverged as exc:
-            raise TrainingDiverged(f"episode {env.episode}: {exc}") from exc
-        episodes.append(res)
-        if stop_on_convergence and res.converged:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cap):
+            try:
+                res = run_episode(env, engine)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"episode {env.episode}: {exc}") from exc
+            episodes.append(res)
+            if stop_on_convergence and res.converged:
+                break
     zeta = convergence_episode(episodes)
     return RunResult(engine=engine_name, m=m, seed=seed, episodes=episodes,
                      zeta=zeta,
@@ -758,9 +760,11 @@ def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
 
 
 def summary_lines(rows: Sequence[dict]) -> list[str]:
+    """The summary's lines for rows already in text (column -> ``fmt``
+    text), the form ``read_summary`` returns."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in SUMMARY_COLUMNS))
+        lines.append(",".join(row[c] for c in SUMMARY_COLUMNS))
     return lines
 
 

@@ -63,6 +63,8 @@ def test_codebook_layout():
     assert edge.angles == pytest.approx([n * math.pi / 4 for n in range(4)])
     for n in range(4):
         assert cb.beam(n) == pytest.approx(steering_vector(cb.angles[n], 4))
+        assert np.array_equal(cb.beam(n), cb.beams[n])
+        assert np.array_equal(edge.beam(n), edge.beams[n])
 
 
 def test_close_in_path_loss_values():

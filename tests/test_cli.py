@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line front end."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,16 +190,23 @@ def test_first_failing_job_stops_the_run_in_job_order(tmp_path, monkeypatch, cap
         ("fpa", "1"), ("tabular", "1"), ("tabular", "2"), ("tabular", "3")]
 
 
-def test_a_diverged_run_names_its_episode(tmp_path, capsys):
-    # a huge learning rate makes the q=1 learner's loss overflow early on
+def test_a_diverged_run_names_its_episode(tmp_path):
+    # a huge learning rate makes the q=1 learner's loss overflow early on.
+    # A fresh interpreter, because pytest captures the numpy warnings that
+    # would otherwise reach stderr ahead of the error line.
     cfg = _write_cfg(tmp_path, "q = 1\nengines = dqn\nm_list = 4\nseeds = 1\n"
                                "episode_cap = 200\nlearning_rate = 1000\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     errors = []
     for workers in (1, 2):
-        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / f"w{workers}"),
-                       "--workers", str(workers)])
-        assert rc == 2
-        errors.append(capsys.readouterr().err)
+        proc = subprocess.run(
+            [sys.executable, "-m", "beampower.cli", "run", "--config", cfg,
+             "--out", str(tmp_path / f"w{workers}"), "--workers", str(workers)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        errors.append(proc.stderr)
     assert errors[0] == errors[1]
     assert re.fullmatch(r"run failed for engine=dqn M=4 seed=1: episode \d+: "
                         r"training loss is not finite: \S+\n", errors[0])
@@ -231,6 +241,26 @@ def test_verify_passes_on_shipped_golden_files(capsys):
     assert rc == 0
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "golden trace summary reproduced" in "\n".join(lines)
+
+
+def test_parser_follows_the_environment_between_calls(tmp_path, monkeypatch):
+    cfg = _tiny_voice_cfg(tmp_path)
+    for name in ("a", "b"):
+        monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / name))
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert (tmp_path / name / "trace_fpa_M1_s2.csv").exists()
+
+
+def test_main_runs_the_current_command_functions(tmp_path, monkeypatch):
+    # the parser is cached, so dispatch must not freeze the first functions
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", out]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: calls.append(args.dir) or 0)
+    monkeypatch.setattr(cli, "cmd_run", lambda args, **kw: calls.append(kw) or 0)
+    assert cli.main(["report", "--dir", out]) == 0
+    assert cli.main(["oracle", "--out", out]) == 0
+    assert calls == [out, {"force_engines": ("brute_force",)}]
 
 
 def test_default_out_honours_environment(monkeypatch):

@@ -28,8 +28,10 @@ def _random_channels(rng, m, cfg):
 
 
 def _enumerate_best(channels, grid, cb, q, code_map, noise_mw):
-    """Plain quadruple loop, first strict maximum wins."""
+    """Plain quadruple loop, first strict maximum wins; returns the objective,
+    the (p0, n0, p1, n1) assignment, its effective SINRs and the count."""
     best = None
+    count = 0
     for p0 in grid:
         for n0 in range(len(cb)):
             for p1 in grid:
@@ -37,11 +39,13 @@ def _enumerate_best(channels, grid, cb, q, code_map, noise_mw):
                     st = RadioState(powers_dbm=(p0, p1), beams=(n0, n1),
                                     channels=channels, codebook=cb,
                                     noise_mw=noise_mw, q=q)
-                    total = sum(effective_sinr_db(sinr_db(st, u), q, code_map)
-                                for u in range(2))
+                    effs = tuple(effective_sinr_db(sinr_db(st, u), q, code_map)
+                                 for u in range(2))
+                    total = sum(effs)
+                    count += 1
                     if best is None or total > best[0]:
-                        best = (total, (p0, n0, p1, n1))
-    return best
+                        best = (total, (p0, n0, p1, n1), effs)
+    return (*best, count)
 
 
 def test_candidate_count():
@@ -62,11 +66,35 @@ def test_matches_independent_enumerator():
         for _ in range(10):
             chans = _random_channels(rng, m, cfg)
             got = brute_force(chans, space, 1, cm, noise_mw)
-            want_obj, want_arg = _enumerate_best(chans, grid, cb, 1, cm, noise_mw)
-            assert got.objective_db == pytest.approx(want_obj)
+            want_obj, want_arg, _, _ = _enumerate_best(chans, grid, cb, 1, cm, noise_mw)
+            assert got.objective_db == want_obj
             assert (got.powers_dbm[0], got.beams[0],
                     got.powers_dbm[1], got.beams[1]) == want_arg
             assert got.n_evaluated == space.n_candidates
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_matches_independent_enumerator_exactly_at_m8(q):
+    # the configured 4-level grid, 1024 candidates per scan; q picks the
+    # objective (coding gain or not), the channels are the M=8 data links
+    cfg = NetworkConfig(q=1, m_list=(8,))
+    cm = CodeRateMap.from_config(cfg)
+    noise_mw = db_to_lin(noise_power_dbm(cfg.bandwidth_hz))
+    grid = cfg.oracle_power_grid
+    assert len(grid) == 4
+    cb = build_codebook(8)
+    space = SearchSpace(power_grid_dbm=grid, codebook=cb)
+    rng = np.random.default_rng(40 + q)
+    for _ in range(3):
+        chans = _random_channels(rng, 8, cfg)
+        got = brute_force(chans, space, q, cm, noise_mw)
+        obj, (p0, n0, p1, n1), effs, count = _enumerate_best(chans, grid, cb, q,
+                                                             cm, noise_mw)
+        assert got.powers_dbm == (p0, p1)
+        assert got.beams == (n0, n1)
+        assert got.eff_sinrs_db == effs
+        assert got.objective_db == obj
+        assert got.n_evaluated == count == 1024
 
 
 def test_tied_candidates_take_first_in_scan_order():
@@ -80,6 +108,12 @@ def test_tied_candidates_take_first_in_scan_order():
     b = brute_force(chans, SearchSpace((44.0,), cb), 1, cm, noise_mw)
     assert a.powers_dbm == b.powers_dbm == (44.0, 44.0)
     assert a.beams == b.beams
+    # every link sees only the first antenna, which every beam weights
+    # alike, so all beam pairs tie and the first, (0, 0), must win
+    e0 = np.eye(4, dtype=complex)[0]
+    flat = brute_force([[e0, e0], [e0, e0]], SearchSpace((44.0,), cb), 1, cm,
+                       noise_mw)
+    assert flat.beams == (0, 0)
 
 
 def test_repeat_on_frozen_channels_is_stationary():
