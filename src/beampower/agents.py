@@ -261,23 +261,41 @@ def tabular_update(q_values: np.ndarray, s: int, a: int, r: float, s_next: int,
                    alpha: float, discount: float) -> np.ndarray:
     """Q(s,a) := (1-alpha) Q(s,a) + alpha (r + discount * max_a' Q(s',a'))."""
     q_values[s, a] = ((1.0 - alpha) * q_values[s, a]
-                      + alpha * (r + discount * float(np.max(q_values[s_next]))))
+                      + alpha * (r + discount * float(q_values[s_next].max())))
     return q_values
 
 
 class QTable:
-    """Zero-initialised table over a uniform discretisation of [-1, 1]^d."""
+    """Zero-initialised table over a uniform discretisation of [-1, 1]^d.
+
+    Only the states a run has looked up hold a row: ``rows`` maps a state
+    index to its row of ``values``, and a state's row is all zeros when it
+    is first looked up.  ``values`` doubles when it is full.  Rows never
+    move, but a lookup may replace the ``values`` array, so look the rows
+    up before reading ``values``.
+    """
 
     def __init__(self, n_dims: int = 8, bins: int = 4, n_actions: int = 16):
         self.n_dims = n_dims
         self.bins = bins
         self.n_actions = n_actions
-        self.values = np.zeros((bins ** n_dims, n_actions))
+        self.values = np.zeros((64, n_actions))
+        self.rows: dict[int, int] = {}
 
     def state_index(self, s_norm: np.ndarray) -> int:
+        xs = s_norm.tolist()
+        bins, top = self.bins, self.bins - 1
         idx = 0
         for i in range(self.n_dims):
-            b = int((s_norm[i] + 1.0) / 2.0 * self.bins)
-            b = min(max(b, 0), self.bins - 1)
-            idx = idx * self.bins + b
+            b = int((xs[i] + 1.0) / 2.0 * bins)
+            idx = idx * bins + (0 if b < 0 else top if b > top else b)
         return idx
+
+    def row(self, state: int) -> int:
+        """The row of ``values`` that holds the state with index ``state``."""
+        row = self.rows.get(state)
+        if row is None:
+            row = self.rows[state] = len(self.rows)
+            if row == len(self.values):
+                self.values = np.concatenate((self.values, np.zeros_like(self.values)))
+        return row

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -86,8 +86,17 @@ class CodeRateMap:
                 return b
         return self.betas[-1]
 
+    @cached_property
+    def gains_db(self) -> tuple:
+        """The coding gain 10*log10(1/beta) of each entry of ``betas``."""
+        return tuple(10.0 * math.log10(1.0 / b) for b in self.betas)
+
     def gain_db(self, sinr: float) -> float:
-        return 10.0 * math.log10(1.0 / self.beta(sinr))
+        """10*log10(1/beta(sinr)), by the same threshold scan as ``beta``."""
+        for t, g in zip(self.thresholds_db, self.gains_db):
+            if sinr < t:
+                return g
+        return self.gains_db[-1]
 
 
 def effective_sinr_db(sinr: float, q: int, code_map: CodeRateMap) -> float:

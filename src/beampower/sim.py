@@ -352,13 +352,15 @@ class TabularEngine:
         self.p_max = config.max_power_dbm
         self._last_idx = None
         self._last_update = None
-        self._memo = (None, None)    # (raw array, its table index)
+        self._memo = (None, None)    # (raw array, its table row)
 
     def _index(self, raw):
-        # the same reuse by identity as DqnEngine._norm
+        # the same reuse by identity as DqnEngine._norm; table rows never
+        # move, so a memoised row stays valid when the table grows
         if raw is not self._memo[0]:
-            self._memo = (raw, self.table.state_index(
-                normalize_state(raw, self.layout, self.m, self.p_max)))
+            table = self.table
+            self._memo = (raw, table.row(table.state_index(
+                normalize_state(raw, self.layout, self.m, self.p_max))))
         return self._memo[1]
 
     def begin_episode(self, env: TwoCellEnv) -> None:
@@ -377,7 +379,9 @@ class TabularEngine:
 
     def learn(self, s_raw, a, r, s_next_raw, terminal):
         s_idx = self._last_idx
-        tabular_update(self.table.values, s_idx, a, r, self._index(s_next_raw),
+        # look the next row up first: it may grow (replace) table.values
+        s_next_idx = self._index(s_next_raw)
+        tabular_update(self.table.values, s_idx, a, r, s_next_idx,
                        self.alpha, self.policy.discount)
         self._last_update = (s_idx, a)
         return None

@@ -298,8 +298,7 @@ def test_normalize_state_hand_case():
 
 def test_qtable_indexing():
     table = QTable()
-    assert table.values.shape == (4**8, 16)
-    assert np.all(table.values == 0.0)
+    assert table.rows == {}
     assert table.state_index(-np.ones(8)) == 0
     assert table.state_index(np.ones(8)) == 4**8 - 1
     # one dim in the second bin from the bottom
@@ -309,6 +308,41 @@ def test_qtable_indexing():
     s = -np.ones(8)
     s[0] = -0.3
     assert table.state_index(s) == 4**7
+    # the written-out reference: numpy scalars, min/max clamp, values outside
+    # [-1, 1] and on the bin edges
+    rng = np.random.default_rng(5)
+    draws = [rng.uniform(-1.5, 1.5, 8) for _ in range(200)]
+    draws += [rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], 8) for _ in range(50)]
+    for bins in (1, 3, 4):
+        table = QTable(8, bins, 16)
+        for s in draws:
+            ref = 0
+            for i in range(8):
+                b = min(max(int((s[i] + 1.0) / 2.0 * bins), 0), bins - 1)
+                ref = ref * bins + b
+            assert table.state_index(s) == ref
+
+
+def test_qtable_holds_only_the_states_looked_up():
+    table = QTable(8, 8, 16)
+    assert table.values.size < 8**8     # no dense bins**n_dims table
+    # an unseen state reads as an all-zero row
+    unseen = table.row(8**8 - 1)
+    assert np.array_equal(table.values[unseen], np.zeros(16))
+    assert table.rows == {8**8 - 1: unseen}
+    assert table.row(8**8 - 1) == unseen
+    # rows keep their values, and their places, as the table grows
+    capacity = len(table.values)
+    states = [7 * k for k in range(3 * capacity)]
+    for k, state in enumerate(states):
+        row = table.row(state)
+        table.values[row] = k
+    assert len(table.values) > capacity
+    assert len(table.rows) == len(states) + 1
+    for k, state in enumerate(states):
+        assert np.all(table.values[table.row(state)] == k)
+    assert np.all(table.values[table.row(8**8 - 1)] == 0.0)
+    assert np.all(table.values[table.row(8**8 - 2)] == 0.0)
 
 
 def test_tabular_update_known_value():

@@ -89,6 +89,15 @@ def test_code_rate_map_betas():
     assert cm.beta(20.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("cm", [_voice_map(),
+                                CodeRateMap((-3.0, 2.5, 9.0), (0.2, 0.4, 0.7, 1.0))])
+def test_code_rate_gain_is_the_gain_of_beta_at_every_threshold(cm):
+    for t in cm.thresholds_db:
+        for sinr in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf),
+                     t - 1.0, t + 1.0):
+            assert cm.gain_db(sinr) == 10 * math.log10(1 / cm.beta(sinr))
+
+
 def test_effective_sinr_adds_repetition_gain():
     cm = _voice_map()
     # 1/3 rate -> +4.77 dB, 1/2 rate -> +3.01 dB, full rate unchanged

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +212,36 @@ def test_voice_run_matches_pinned_fingerprint(link_draws):
     assert any(f.los for f in link_draws)
     assert _run_digest(run) == (
         "d8878a1485b6fff96872a11969bcb95af7f083b2f4b55c810e1b4edeabfb9559")
+
+
+_TABULAR_Q1_DIGEST = "a2828707b665f3648000474237f4cdc6b85b06499eb804f4a819f13099ed505b"
+
+
+def _tabular_q1_config():
+    return NetworkConfig(q=1, engines=("tabular",), seeds=(2,), m_list=(4,),
+                         episode_cap=200)
+
+
+def test_tabular_data_run_matches_pinned_fingerprint():
+    # the tabular learner at q=1 M=4: beams move, so it looks up a few
+    # hundred states and its table grows several times
+    run = run_experiment(_tabular_q1_config(), 4, 2, "tabular",
+                         stop_on_convergence=False)
+    assert _run_digest(run) == _TABULAR_Q1_DIGEST
+
+
+def test_tabular_table_growth_leaves_the_run_unchanged():
+    # start the table at one row, so it grows at its 2nd, 3rd, 5th, 9th ...
+    # state, both in act and when learn looks up the next state
+    cfg = _tabular_q1_config()
+    env = TwoCellEnv(cfg, 4, 2)
+    eng = make_engine("tabular", cfg, env, 2)
+    eng.table.values = np.zeros((1, cfg.n_actions))
+    episodes = []
+    for _ in range(cfg.episode_cap):
+        episodes.append(run_episode(env, eng))
+    assert len(eng.table.values) >= len(eng.table.rows) > 256
+    assert _run_digest(SimpleNamespace(episodes=episodes)) == _TABULAR_Q1_DIGEST
 
 
 def test_replay_matches_live_channels():
