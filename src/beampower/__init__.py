@@ -10,7 +10,7 @@ from .radio import (CodeRateMap, JointCommand, RadioState, apply_power_cmd,
 from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
                      decay_epsilon, normalize_state, select_action, sgd_step,
                      tabular_update)
-from .oracle import BruteForceResult, SearchSpace, brute_force, brute_force_per_step
+from .oracle import BruteForceResult, SearchSpace, brute_force
 from .sim import (EpisodeResult, RunResult, StepRecord, TwoCellEnv, ccdf,
                   convergence_episode, best_complete_episode, make_engine,
                   replay_episode_channels, run_episode, run_experiment,

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import NetworkConfig
 from .geometry import Layout
+from .radio import N_ACTIONS
 
 
 class TrainingDiverged(RuntimeError):
@@ -41,7 +42,8 @@ def decay_epsilon(policy: PolicyState) -> PolicyState:
 
 
 class QNetwork:
-    """[n_in, H, H, n_out] perceptron, sigmoid hidden units, linear output.
+    """[n_in, H, H, n_out] perceptron, sigmoid hidden units, linear output;
+    ``initialize`` builds it with n_in = STATE_DIM and n_out = N_ACTIONS.
 
     The six parameters are views of one flat array ``theta`` and their
     gradients are views of one flat array ``grad`` of the same layout, so an
@@ -58,19 +60,14 @@ class QNetwork:
                                                                            params)
 
     @classmethod
-    def initialize(cls, rng: np.random.Generator, n_in: int = 8, width: int = 24,
-                   n_out: int = 16) -> "QNetwork":
+    def initialize(cls, rng: np.random.Generator, width: int = 24) -> "QNetwork":
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-        def glorot(n_out_, n_in_):
-            lim = math.sqrt(6.0 / (n_in_ + n_out_))
-            return rng.uniform(-lim, lim, size=(n_out_, n_in_))
-        return cls(glorot(width, n_in), np.zeros(width),
+        def glorot(n_out, n_in):
+            lim = math.sqrt(6.0 / (n_in + n_out))
+            return rng.uniform(-lim, lim, size=(n_out, n_in))
+        return cls(glorot(width, STATE_DIM), np.zeros(width),
                    glorot(width, width), np.zeros(width),
-                   glorot(n_out, width), np.zeros(n_out))
-
-    @property
-    def n_in(self) -> int:
-        return self.w1.shape[1]
+                   glorot(N_ACTIONS, width), np.zeros(N_ACTIONS))
 
     @property
     def n_out(self) -> int:
@@ -185,14 +182,14 @@ class ReplayBuffer:
     the same as those of an oldest-first list of the same transitions.
     """
 
-    def __init__(self, capacity: int, n_states: int):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.s = np.empty((capacity, n_states))
+        self.s = np.empty((capacity, STATE_DIM))
         self.a = np.empty(capacity, dtype=np.int64)
         self.r = np.empty(capacity)
-        self.s_next = np.empty((capacity, n_states))
+        self.s_next = np.empty((capacity, STATE_DIM))
         self.live = np.empty(capacity, dtype=bool)
         self._head = 0               # ring slot the next push writes
         self._count = 0
@@ -235,6 +232,8 @@ class ReplayBuffer:
 # ---------------------------------------------------------------------------
 # state normalisation
 
+STATE_DIM = 8                    # entries of the state normalize_state returns
+
 
 def normalize_state(raw: np.ndarray, layout: Layout, m: int,
                     p_max_dbm: float = 46.0) -> np.ndarray:
@@ -266,7 +265,8 @@ def tabular_update(q_values: np.ndarray, s: int, a: int, r: float, s_next: int,
 
 
 class QTable:
-    """Zero-initialised table over a uniform discretisation of [-1, 1]^d.
+    """Zero-initialised table over a uniform discretisation of
+    [-1, 1]^STATE_DIM, one column per action register value.
 
     Only the states a run has looked up hold a row: ``rows`` maps a state
     index to its row of ``values``, and a state's row is all zeros when it
@@ -275,19 +275,16 @@ class QTable:
     up before reading ``values``.
     """
 
-    def __init__(self, n_dims: int = 8, bins: int = 4, n_actions: int = 16):
-        self.n_dims = n_dims
+    def __init__(self, bins: int = 4):
         self.bins = bins
-        self.n_actions = n_actions
-        self.values = np.zeros((64, n_actions))
+        self.values = np.zeros((64, N_ACTIONS))
         self.rows: dict[int, int] = {}
 
     def state_index(self, s_norm: np.ndarray) -> int:
-        xs = s_norm.tolist()
         bins, top = self.bins, self.bins - 1
         idx = 0
-        for i in range(self.n_dims):
-            b = int((xs[i] + 1.0) / 2.0 * bins)
+        for x in s_norm.tolist():
+            b = int((x + 1.0) / 2.0 * bins)
             idx = idx * bins + (0 if b < 0 else top if b > top else b)
         return idx
 

@@ -21,7 +21,7 @@ from . import sim
 from .channel import steering_vector
 from .config import ConfigError, NetworkConfig, text_hash
 from .geometry import build_layout
-from .radio import apply_power_cmd, decode_action, encode_action, pcode
+from .radio import N_ACTIONS, apply_power_cmd, decode_action, encode_action, pcode
 
 OUT_ENV_VAR = "BEAMPOWER_OUT"
 
@@ -265,7 +265,7 @@ def cmd_verify(args) -> int:
 
     ok = True
     for q in (0, 1):
-        for a in range(16):
+        for a in range(N_ACTIONS):
             ok &= encode_action(decode_action(a, q), q) == a
     _check("action register decode/encode round trip", ok, failures)
 

@@ -90,8 +90,6 @@ class NetworkConfig:
     eps_initial: float = 1.0
     eps_decay: float = 0.9995
     eps_min: float | None = None
-    n_states: int = 8
-    n_actions: int = 16
     net_width: int = 24
     minibatch: int = 32
     learning_rate: float = 0.003
@@ -158,12 +156,14 @@ class NetworkConfig:
             raise ConfigError("seeds must be non-empty")
         if self.minibatch < 1:
             raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
-        # hidden width rule: H = sqrt((|A| + 2) * N_mb)
-        want = math.sqrt((self.n_actions + 2) * self.minibatch)
+        # hidden width rule: H = sqrt((|A| + 2) * N_mb), |A| the register's
+        # values (radio imports this module, so import it here)
+        from .radio import N_ACTIONS
+        want = math.sqrt((N_ACTIONS + 2) * self.minibatch)
         if abs(self.net_width - want) > 1e-9:
             raise ConfigError(
                 f"net_width={self.net_width} violates the width rule "
-                f"sqrt((n_actions+2)*minibatch) = {want:g}")
+                f"sqrt(({N_ACTIONS}+2)*minibatch) = {want:g}")
         if not 0 <= self.eps_min <= self.eps_initial <= 1:
             raise ConfigError("need 0 <= eps_min <= eps_initial <= 1")
         if not 0 < self.eps_decay <= 1:
@@ -283,8 +283,7 @@ _FIELD_TYPES = {
     "noise_figure_db": float, "bandwidth_hz": float,
     "gamma_target_voice_db": float, "gamma_min_db": float, "gamma0_bf_db": float,
     "discount": float, "eps_initial": float, "eps_decay": float, "eps_min": float,
-    "n_states": int, "n_actions": int, "net_width": int,
-    "minibatch": int, "learning_rate": float, "replay_capacity": int,
+    "net_width": int, "minibatch": int, "learning_rate": float, "replay_capacity": int,
     "r_min": float, "r_max": float, "tabular_alpha": float, "tabular_bins": int,
     "code_rate_thresholds_db": (float,), "code_rate_betas": (float,),
     "voice_activity": float,

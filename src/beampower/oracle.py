@@ -8,7 +8,6 @@ engines use -- no pruning, no shortcuts.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,19 +75,3 @@ def brute_force(channels: Sequence, space: SearchSpace, q: int,
     return BruteForceResult(powers_dbm=powers, beams=beams, objective_db=obj,
                             eff_sinrs_db=effs, feasible=feasible,
                             n_evaluated=n_eval)
-
-
-def brute_force_per_step(channel_steps: Sequence, space: SearchSpace, q: int,
-                         code_map: CodeRateMap, noise_mw: float,
-                         gamma_target_db: float | None = None
-                         ) -> tuple[list[BruteForceResult], float]:
-    """Re-optimise at every step of a channel trace; returns results and the
-    total sweep wall time (compute only)."""
-    results = []
-    elapsed = 0.0
-    for channels in channel_steps:
-        t0 = time.perf_counter()
-        res = brute_force(channels, space, q, code_map, noise_mw, gamma_target_db)
-        elapsed += time.perf_counter() - t0
-        results.append(res)
-    return results, elapsed

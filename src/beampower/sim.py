@@ -35,11 +35,11 @@ from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverg
                      tabular_update)
 from .channel import (ChannelModel, build_codebook, draw_link_fading, link_set,
                       noise_power_dbm, prepare_link, realize_channel)
-from .config import ConfigError, NetworkConfig, text_hash
+from .config import ALLOWED_ENGINES, ConfigError, NetworkConfig, text_hash
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
 from .oracle import SearchSpace, brute_force, n_candidates
-from .radio import (CodeRateMap, RadioState, db_to_lin, decode_action,
+from .radio import (N_ACTIONS, CodeRateMap, RadioState, db_to_lin, decode_action,
                     apply_power_cmd, effective_sinr_db, fpa_power_dbm,
                     reward_value, sinr_db, step_beam, sum_rate)
 
@@ -49,8 +49,6 @@ N_CELLS = 2
 
 _STREAM_EPISODE = 202
 _STREAM_AGENT = 303
-
-ENGINES = ("fpa", "tabular", "dqn", "brute_force")
 
 
 class StepRecord(NamedTuple):
@@ -271,7 +269,6 @@ class BruteForceEngine:
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.space = SearchSpace(power_grid_dbm=tuple(config.oracle_power_grid),
                                  codebook=env.codebook)
-        self.last = None
 
     def begin_episode(self, env: TwoCellEnv) -> None:
         pass
@@ -280,7 +277,6 @@ class BruteForceEngine:
         res = brute_force(env.channels(k), self.space, env.q, env.code_map,
                           env.noise_mw, env.gamma_target_db)
         env.set_levels(res.powers_dbm, res.beams)
-        self.last = res
         return None
 
     def learn(self, s_raw, a, r, s_next_raw, terminal):
@@ -297,10 +293,9 @@ class DqnEngine:
 
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_AGENT)))
-        self.net = QNetwork.initialize(self.rng, n_in=config.n_states,
-                                       width=config.net_width, n_out=config.n_actions)
+        self.net = QNetwork.initialize(self.rng, width=config.net_width)
         self.policy = PolicyState.from_config(config)
-        self.buffer = ReplayBuffer(config.replay_capacity, config.n_states)
+        self.buffer = ReplayBuffer(config.replay_capacity)
         self.n_mb = config.minibatch
         self.eta = config.learning_rate
         self.layout = env.layout
@@ -343,8 +338,7 @@ class TabularEngine:
 
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_AGENT)))
-        self.table = QTable(n_dims=config.n_states, bins=config.tabular_bins,
-                            n_actions=config.n_actions)
+        self.table = QTable(bins=config.tabular_bins)
         self.policy = PolicyState.from_config(config)
         self.alpha = config.tabular_alpha
         self.layout = env.layout
@@ -370,7 +364,7 @@ class TabularEngine:
         decay_epsilon(self.policy)
         self._last_idx = self._index(s_raw)
         if self.rng.random() < self.policy.epsilon:
-            return int(self.rng.integers(self.table.n_actions))
+            return int(self.rng.integers(N_ACTIONS))
         row = self.table.values[self._last_idx]
         best = np.flatnonzero(row == row.max())
         # break value ties at random: the table starts all-zero and a fixed
@@ -399,7 +393,7 @@ def make_engine(name: str, config: NetworkConfig, env: TwoCellEnv, seed: int):
         cls = {"fpa": FpaEngine, "brute_force": BruteForceEngine,
                "dqn": DqnEngine, "tabular": TabularEngine}[name]
     except KeyError:
-        raise ConfigError(f"unknown engine {name!r}, expected one of {ENGINES}")
+        raise ConfigError(f"unknown engine {name!r}, expected one of {ALLOWED_ENGINES}")
     return cls(config, env, seed)
 
 
@@ -407,20 +401,17 @@ def make_engine(name: str, config: NetworkConfig, env: TwoCellEnv, seed: int):
 # episode loop
 
 
-def run_episode(env: TwoCellEnv, engine, t_steps: int | None = None,
-                targets: tuple | None = None) -> EpisodeResult:
-    """One frame of T steps: observe, act, score, learn.
+def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
+    """One frame of ``env.t_steps`` steps: observe, act, score, learn.
 
     The episode aborts (with the reward overwritten by r_min) as soon as any
-    UE's effective SINR falls below gamma_min; if instead the final step
-    meets the target for every UE, r_max is added to the final reward and
-    patched into the engine's stored experience.
+    UE's effective SINR falls below ``env.gamma_min_db``; if instead the
+    final step meets ``env.gamma_target_db`` for every UE, r_max is added to
+    the final reward and patched into the engine's stored experience.
     """
     cfg = env.config
-    if t_steps is None:
-        t_steps = env.t_steps
-    gamma_target, gamma_min = targets if targets is not None \
-        else (env.gamma_target_db, env.gamma_min_db)
+    t_steps = env.t_steps
+    gamma_target, gamma_min = env.gamma_target_db, env.gamma_min_db
     episode_index = env.begin_episode()
     engine.begin_episode(env)
 
@@ -469,7 +460,7 @@ def run_episode(env: TwoCellEnv, engine, t_steps: int | None = None,
             records[-1] = last._replace(reward=last.reward + cfg.r_max)
             engine.finish_episode(cfg.r_max)
 
-    converged = t_steps > 0 and not aborted and len(records) == t_steps and all_meet
+    converged = not aborted and len(records) == t_steps and all_meet
     return EpisodeResult(index=episode_index, steps=records, converged=converged,
                          aborted=aborted,
                          wall_time_s=time.perf_counter() - wall0,

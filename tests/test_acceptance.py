@@ -17,7 +17,7 @@ from beampower.channel import (ChannelModel, build_codebook, noise_power_dbm,
                                sample_channel, steering_vector)
 from beampower.config import NetworkConfig
 from beampower.geometry import build_layout
-from beampower.oracle import SearchSpace, brute_force, brute_force_per_step
+from beampower.oracle import SearchSpace, brute_force
 from beampower.radio import (CodeRateMap, RadioState, apply_power_cmd,
                              db_to_lin, decode_action, effective_sinr_db,
                              encode_action, fpa_power_dbm, reward_value,
@@ -142,8 +142,8 @@ def _best_ratio_vs_oracle(m: int, seed: int, cap: int):
     best = 0.0
     for rate, idx in sorted(conv, reverse=True):
         chans = replay_episode_channels(cfg, m, seed, idx)
-        results, _ = brute_force_per_step(chans, space, cfg.q, code_map,
-                                          noise_mw)
+        results = [brute_force(ch, space, cfg.q, code_map, noise_mw)
+                   for ch in chans]
         best = max(best, rate / sum_rate([r.eff_sinrs_db for r in results]))
         if best >= 0.85:
             break
@@ -297,7 +297,7 @@ def test_acceptance_property_suite():
     # experiences pin the Bellman targets to the raw rewards, so the loss is
     # a fixed function of the parameters
     rng = np.random.default_rng(5)
-    net = QNetwork.initialize(rng, n_in=8, width=24, n_out=16)
+    net = QNetwork.initialize(rng, width=24)
     rows = [(rng.normal(size=8), int(rng.integers(0, 16)), float(rng.normal()))
             for _ in range(32)]
     states = np.stack([s for s, _, _ in rows])

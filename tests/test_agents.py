@@ -202,7 +202,7 @@ def test_sgd_step_raises_on_divergence():
 
 
 def test_replay_buffer_eviction_and_sampling():
-    buf = ReplayBuffer(5, 8)
+    buf = ReplayBuffer(5)
     for i in range(8):
         buf.push(np.full(8, i), i, float(i), np.full(8, -i), False)
     assert len(buf) == 5
@@ -219,7 +219,7 @@ def test_replay_buffer_eviction_and_sampling():
 
 
 def test_replay_buffer_reward_patch():
-    buf = ReplayBuffer(4, 8)
+    buf = ReplayBuffer(4)
     buf.push(np.zeros(8), 0, 1.0, np.zeros(8), False)
     buf.push(np.zeros(8), 1, 2.0, np.zeros(8), True)
     buf.adjust_last_reward(10.0)
@@ -235,7 +235,7 @@ def test_replay_buffer_wraps_like_an_oldest_first_deque(n_push):
     # deque of the transitions; 19 pushes leave the newest row mid-ring,
     # 21 in the last slot
     rng = np.random.default_rng(9)
-    buf = ReplayBuffer(7, 8)
+    buf = ReplayBuffer(7)
     ref = deque(maxlen=7)
     for i in range(n_push):
         row = (rng.normal(size=8), i, float(rng.normal()), rng.normal(size=8),
@@ -314,7 +314,7 @@ def test_qtable_indexing():
     draws = [rng.uniform(-1.5, 1.5, 8) for _ in range(200)]
     draws += [rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], 8) for _ in range(50)]
     for bins in (1, 3, 4):
-        table = QTable(8, bins, 16)
+        table = QTable(bins)
         for s in draws:
             ref = 0
             for i in range(8):
@@ -324,7 +324,7 @@ def test_qtable_indexing():
 
 
 def test_qtable_holds_only_the_states_looked_up():
-    table = QTable(8, 8, 16)
+    table = QTable(8)
     assert table.values.size < 8**8     # no dense bins**n_dims table
     # an unseen state reads as an all-zero row
     unseen = table.row(8**8 - 1)

@@ -55,7 +55,10 @@ def test_field_types_match_the_fields():
 
 
 @pytest.mark.parametrize("line", ["l_bs = 3", "net_depth = 2", "n_ue_max = 10",
-                                  "n_ues_per_bs = 1", "amr_rate_kbps = 23.85"])
+                                  "n_ues_per_bs = 1", "amr_rate_kbps = 23.85",
+                                  # fixed sizes: rejected even at their one
+                                  # legal value
+                                  "n_states = 8", "n_actions = 16"])
 def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"q = 0\nengines = fpa\nepisode_cap = 1\n{line}\n")
@@ -84,8 +87,11 @@ def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
     trace = out / "trace_fpa_M1_s2.csv"
     lines = trace.read_text().splitlines()
     at = lines.index("# cfg net_width = 24")
-    trace.write_text("\n".join(lines[:at] + ["# cfg net_depth = 2"] + lines[at:]) + "\n")
-    capsys.readouterr()
-    assert cli.main(["report", "--dir", str(out)]) == 1
-    assert "'net_depth'" in capsys.readouterr().err
-    assert cli.main(["ccdf", "--trace", str(trace)]) == 1
+    for key in ("net_depth = 2", "n_states = 8"):
+        trace.write_text("\n".join(lines[:at] + [f"# cfg {key}"] + lines[at:]) + "\n")
+        name = repr(key.split(" = ")[0])
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert cli.main(["ccdf", "--trace", str(trace)]) == 1
+        assert name in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from beampower.channel import ChannelModel, build_codebook, noise_power_dbm, sample_channel
 from beampower.config import NetworkConfig
 from beampower.geometry import build_layout
-from beampower.oracle import SearchSpace, brute_force, brute_force_per_step
+from beampower.oracle import SearchSpace, brute_force
 from beampower.radio import CodeRateMap, RadioState, db_to_lin, effective_sinr_db, sinr_db
 
 
@@ -139,16 +139,3 @@ def test_feasibility_flag_tracks_target():
     assert easy.feasible
     assert hard.eff_sinrs_db == easy.eff_sinrs_db  # target never changes the argmax
 
-
-def test_per_step_wrapper_scores_each_step():
-    cfg = NetworkConfig(q=1, m_list=(4,))
-    cm = CodeRateMap.from_config(cfg)
-    noise_mw = db_to_lin(noise_power_dbm(cfg.bandwidth_hz))
-    rng = np.random.default_rng(2)
-    steps = [_random_channels(rng, 4, cfg) for _ in range(3)]
-    space = SearchSpace((40.0, 46.0), build_codebook(4))
-    results, elapsed = brute_force_per_step(steps, space, 1, cm, noise_mw)
-    assert len(results) == 3
-    assert elapsed > 0.0
-    for ch, res in zip(steps, results):
-        assert res == brute_force(ch, space, 1, cm, noise_mw)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from beampower import sim
+from beampower import radio, sim
 from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_loss_db,
                                path_loss_terms, steering_vector)
 from beampower.config import ConfigError, NetworkConfig
@@ -236,7 +236,7 @@ def test_tabular_table_growth_leaves_the_run_unchanged():
     cfg = _tabular_q1_config()
     env = TwoCellEnv(cfg, 4, 2)
     eng = make_engine("tabular", cfg, env, 2)
-    eng.table.values = np.zeros((1, cfg.n_actions))
+    eng.table.values = np.zeros((1, radio.N_ACTIONS))
     episodes = []
     for _ in range(cfg.episode_cap):
         episodes.append(run_episode(env, eng))
@@ -257,21 +257,11 @@ def test_replay_matches_live_channels():
             assert np.allclose(live[u][s], replayed[u][s])
 
 
-def test_zero_length_frame():
-    cfg = _voice_cfg()
-    env = TwoCellEnv(cfg, 1, 1)
-    eng = make_engine("fpa", cfg, env, 1)
-    res = run_episode(env, eng, t_steps=0)
-    assert res.steps == []
-    assert not res.converged
-    assert not res.aborted
-
-
 def test_vacuous_thresholds_always_converge():
-    cfg = _voice_cfg()
+    cfg = _voice_cfg(gamma_target_voice_db=-math.inf, gamma_min_db=-math.inf)
     env = TwoCellEnv(cfg, 1, 1)
     eng = make_engine("fpa", cfg, env, 1)
-    res = run_episode(env, eng, targets=(-math.inf, -math.inf))
+    res = run_episode(env, eng)
     assert res.converged and not res.aborted
     assert len(res.steps) == cfg.frame_steps
     # the final step earns the convergence bonus on top of the zero base reward
@@ -279,10 +269,10 @@ def test_vacuous_thresholds_always_converge():
 
 
 def test_impossible_floor_aborts_first_step():
-    cfg = _voice_cfg()
+    cfg = _voice_cfg(gamma_min_db=1e9)
     env = TwoCellEnv(cfg, 1, 1)
     eng = make_engine("fpa", cfg, env, 1)
-    res = run_episode(env, eng, targets=(-math.inf, 1e9))
+    res = run_episode(env, eng)
     assert res.aborted and not res.converged
     assert len(res.steps) == 1
     assert res.steps[0].reward == cfg.r_min
