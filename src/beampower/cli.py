@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
 
 

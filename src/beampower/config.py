@@ -130,10 +130,14 @@ class NetworkConfig:
         for name, pair in _BEARER_DEFAULTS.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, pair[self.q])
-        # normalise list-ish fields to tuples
-        for name in ("m_list", "seeds", "engines", "oracle_power_grid",
-                     "code_rate_thresholds_db", "code_rate_betas"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # list-ish fields become tuples, and an int given to a float field a
+        # float, so a config built in code serialises as its text form does
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(kind, tuple):
+                object.__setattr__(self, name, tuple(_as_kind(kind[0], v) for v in value))
+            elif value is not None:
+                object.__setattr__(self, name, _as_kind(kind, value))
 
     def _validate(self):
         if self.cell_radius_m <= 0:
@@ -293,6 +297,13 @@ _FIELD_TYPES = {
     "engines": (str,), "seeds": (int,),
     "episode_cap": int, "payload_bits": float, "meas_per_step": int,
 }
+
+
+def _as_kind(kind, value):
+    """``value`` as a float if a float field was given an int, else as is."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    return value
 
 
 def _parse_scalar(kind, token: str, key: str):

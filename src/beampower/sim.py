@@ -19,12 +19,21 @@ Conventions
   realises the four links together at the current positions
   (:func:`beampower.channel.realize_channel`): a distance, a path-loss term
   and a scale per link, plus one exponential shared by the LOS links.
+* An episode keeps its steps in one flat ``array('d')``, its step log:
+  ``LOG_WIDTH`` floats per step, in ``LOG_COLUMNS`` order, and row k is step
+  t = k.  A step without an action stores -1 and a step without a loss NaN;
+  a loss that is not finite raises ``TrainingDiverged``, so NaN never stands
+  for a real one.  Every number in the log is the float the step computed,
+  so traces and summaries read from it are those of the step values.
+  ``EpisodeResult.steps`` builds one ``StepRecord`` per step from the log on
+  each access; the program itself reads the log.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -62,24 +71,60 @@ class StepRecord(NamedTuple):
     loss: float | None
 
 
-@dataclass
+# the columns of an episode's step log; the names are the trace's
+LOG_COLUMNS = ("action", "reward", "sinr_ell_db", "sinr_b_db",
+               "eff_sinr_ell_db", "eff_sinr_b_db", "p_ell_dbm", "p_b_dbm",
+               "beam_ell", "beam_b", "loss")
+LOG_WIDTH = len(LOG_COLUMNS)
+_REWARD = LOG_COLUMNS.index("reward")
+_EFF = LOG_COLUMNS.index("eff_sinr_ell_db")     # then eff_sinr_b_db
+_NO_ACTION = -1.0
+_NO_LOSS = math.nan
+
+
 class EpisodeResult:
-    index: int
-    steps: list
-    converged: bool
-    aborted: bool
-    wall_time_s: float
-    decision_time_s: float
+    """One episode: its step log (see the module notes) and how it ended."""
+
+    __slots__ = ("index", "log", "converged", "aborted", "wall_time_s",
+                 "decision_time_s")
+
+    def __init__(self, index: int, log: array, converged: bool, aborted: bool,
+                 wall_time_s: float, decision_time_s: float):
+        self.index = index
+        self.log = log
+        self.converged = converged
+        self.aborted = aborted
+        self.wall_time_s = wall_time_s
+        self.decision_time_s = decision_time_s
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.log) // LOG_WIDTH
+
+    @property
+    def steps(self) -> list[StepRecord]:
+        """The steps as records, built from the log on each access."""
+        log, w = self.log, LOG_WIDTH
+        records = []
+        for t in range(self.n_steps):
+            a, r, g_ell, g_b, e_ell, e_b, p_ell, p_b, n_ell, n_b, loss = log[t * w:t * w + w]
+            records.append(StepRecord(
+                t=t, action=None if a < 0 else int(a), reward=r,
+                sinr_db=(g_ell, g_b), eff_sinr_db=(e_ell, e_b),
+                powers_dbm=(p_ell, p_b), beams=(int(n_ell), int(n_b)),
+                loss=None if math.isnan(loss) else loss))
+        return records
 
     @property
     def total_reward(self) -> float:
-        return sum(s.reward for s in self.steps)
+        return sum(self.log[_REWARD::LOG_WIDTH])
 
     def eff_sinr_samples(self) -> list[float]:
-        return [g for s in self.steps for g in s.eff_sinr_db]
+        return [g for pair in self.eff_sinr_pairs() for g in pair]
 
     def eff_sinr_pairs(self) -> list[tuple]:
-        return [s.eff_sinr_db for s in self.steps]
+        log = self.log
+        return list(zip(log[_EFF::LOG_WIDTH], log[_EFF + 1::LOG_WIDTH]))
 
 
 class TwoCellEnv:
@@ -415,7 +460,7 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
     episode_index = env.begin_episode()
     engine.begin_episode(env)
 
-    records: list[StepRecord] = []
+    log = []
     aborted = False
     all_meet = True
     decision_s = 0.0
@@ -444,25 +489,23 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
         t0 = time.perf_counter()
         loss = engine.learn(s_raw, a, r, s_next_raw, terminal)
         decision_s += time.perf_counter() - t0
-        records.append(StepRecord(t=k, action=a, reward=r,
-                                  sinr_db=(g_ell, g_b), eff_sinr_db=(eff_ell, eff_b),
-                                  powers_dbm=tuple(env.powers_dbm),
-                                  beams=tuple(env.beams), loss=loss))
+        powers, beams = env.powers_dbm, env.beams
+        log += (_NO_ACTION if a is None else a, r, g_ell, g_b, eff_ell, eff_b,
+                powers[IDX_ELL], powers[IDX_B], beams[IDX_ELL], beams[IDX_B],
+                _NO_LOSS if loss is None else loss)
         if abort:
             aborted = True
             break
         if not (eff_ell >= gamma_target and eff_b >= gamma_target):
             all_meet = False
 
-    if records and not aborted:
-        last = records[-1]
-        if min(last.eff_sinr_db) >= gamma_target:
-            records[-1] = last._replace(reward=last.reward + cfg.r_max)
-            engine.finish_episode(cfg.r_max)
+    # a frame has at least one step, and one that did not abort ran them all
+    if not aborted and min(eff_ell, eff_b) >= gamma_target:
+        log[_REWARD - LOG_WIDTH] += cfg.r_max
+        engine.finish_episode(cfg.r_max)
 
-    converged = not aborted and len(records) == t_steps and all_meet
-    return EpisodeResult(index=episode_index, steps=records, converged=converged,
-                         aborted=aborted,
+    return EpisodeResult(index=episode_index, log=array("d", log),
+                         converged=not aborted and all_meet, aborted=aborted,
                          wall_time_s=time.perf_counter() - wall0,
                          decision_time_s=decision_s)
 
@@ -508,7 +551,7 @@ def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
                      zeta=zeta,
                      wall_time_s=sum(e.wall_time_s for e in episodes),
                      decision_time_s=sum(e.decision_time_s for e in episodes),
-                     steps_total=sum(len(e.steps) for e in episodes))
+                     steps_total=sum(e.n_steps for e in episodes))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +571,7 @@ def best_complete_episode(results: Sequence[EpisodeResult]) -> EpisodeResult | N
     """Highest-total-reward non-aborted episode (earliest on ties)."""
     best = None
     for r in results:
-        if r.aborted or not r.steps:
+        if r.aborted or not r.log:
             continue
         if best is None or r.total_reward > best.total_reward:
             best = r
@@ -540,7 +583,7 @@ def sum_rate_summary(results: Sequence[EpisodeResult]) -> tuple:
     every episode aborted."""
     best_rate, best_idx = None, None
     for i, r in enumerate(results):
-        if r.aborted or not r.steps:
+        if r.aborted or not r.log:
             continue
         rate = sum_rate(r.eff_sinr_pairs())
         if best_rate is None or rate > best_rate:
@@ -628,17 +671,17 @@ def trace_header(config_text: str, layout: Layout) -> str:
 
 def trace_rows(run: RunResult, config: NetworkConfig) -> list[str]:
     rows = []
+    w = LOG_WIDTH
     for ep in run.episodes:
-        for s in ep.steps:
+        run_cols = f"{run.engine},{config.q},{run.m},{run.seed},{ep.index}"
+        log = ep.log
+        for t in range(ep.n_steps):
+            a, r, g_ell, g_b, e_ell, e_b, p_ell, p_b, n_ell, n_b, loss = log[t * w:t * w + w]
             rows.append(",".join([
-                str(s.t), run.engine, str(config.q), str(run.m), str(run.seed),
-                str(ep.index),
-                "" if s.action is None else format(s.action, "x"),
-                fmt(s.powers_dbm[IDX_ELL]), fmt(s.powers_dbm[IDX_B]),
-                str(s.beams[IDX_ELL]), str(s.beams[IDX_B]),
-                fmt(s.sinr_db[0]), fmt(s.sinr_db[1]),
-                fmt(s.eff_sinr_db[0]), fmt(s.eff_sinr_db[1]),
-                fmt(s.reward), fmt(s.loss),
+                str(t), run_cols, "" if a < 0 else format(int(a), "x"),
+                fmt(p_ell), fmt(p_b), str(int(n_ell)), str(int(n_b)),
+                fmt(g_ell), fmt(g_b), fmt(e_ell), fmt(e_b),
+                fmt(r), "" if math.isnan(loss) else fmt(loss),
             ]))
     return rows
 
@@ -653,6 +696,7 @@ def write_trace(path, header: str, rows: Sequence[str]) -> None:
 def read_trace(path) -> tuple[NetworkConfig, list[dict]]:
     cfg_lines = []
     rows = []
+    steps_seen: dict[int, int] = {}
     header = None
     with open(path) as fh:
         version = fh.readline().rstrip("\n")
@@ -680,6 +724,12 @@ def read_trace(path) -> tuple[NetworkConfig, list[dict]]:
                 row[key] = float(row[key])
             row["loss"] = float(row["loss"]) if row["loss"] else None
             row["action"] = int(row["action_hex"], 16) if row["action_hex"] else None
+            # t is the step's position in its episode's log
+            want = steps_seen.get(row["episode"], 0)
+            if row["t"] != want:
+                raise ValueError(f"{path}: episode {row['episode']} has a step "
+                                 f"t = {row['t']} where t = {want} belongs")
+            steps_seen[row["episode"]] = want + 1
             rows.append(row)
     config = NetworkConfig.from_text("\n".join(cfg_lines))
     return config, rows
@@ -687,7 +737,8 @@ def read_trace(path) -> tuple[NetworkConfig, list[dict]]:
 
 def episodes_from_rows(rows: Sequence[dict], config: NetworkConfig,
                        m: int) -> list[EpisodeResult]:
-    """Rebuild EpisodeResult objects (sans timings) from trace rows."""
+    """Rebuild EpisodeResult objects (sans timings) from trace rows, which
+    ``read_trace`` returns in step order."""
     gamma_target = config.gamma_target_db(m)
     gamma_min = config.gamma_min_db
     t_steps = config.frame_steps
@@ -696,17 +747,20 @@ def episodes_from_rows(rows: Sequence[dict], config: NetworkConfig,
         groups.setdefault(row["episode"], []).append(row)
     episodes = []
     for idx in sorted(groups):
-        steps = [StepRecord(t=r["t"], action=r["action"], reward=r["reward"],
-                            sinr_db=(r["sinr_ell_db"], r["sinr_b_db"]),
-                            eff_sinr_db=(r["eff_sinr_ell_db"], r["eff_sinr_b_db"]),
-                            powers_dbm=(r["p_ell_dbm"], r["p_b_dbm"]),
-                            beams=(r["beam_ell"], r["beam_b"]),
-                            loss=r["loss"])
-                 for r in sorted(groups[idx], key=lambda r: r["t"])]
-        aborted = min(steps[-1].eff_sinr_db) < gamma_min
-        converged = (not aborted and len(steps) == t_steps
-                     and all(min(s.eff_sinr_db) >= gamma_target for s in steps))
-        episodes.append(EpisodeResult(index=idx, steps=steps, converged=converged,
+        log = array("d")
+        worst = []
+        for r in groups[idx]:
+            vals = [r[c] for c in LOG_COLUMNS]
+            if vals[0] is None:
+                vals[0] = _NO_ACTION
+            if vals[-1] is None:
+                vals[-1] = _NO_LOSS
+            log.extend(vals)
+            worst.append(min(r["eff_sinr_ell_db"], r["eff_sinr_b_db"]))
+        aborted = worst[-1] < gamma_min
+        converged = (not aborted and len(worst) == t_steps
+                     and all(g >= gamma_target for g in worst))
+        episodes.append(EpisodeResult(index=idx, log=log, converged=converged,
                                       aborted=aborted, wall_time_s=0.0,
                                       decision_time_s=0.0))
     return episodes
@@ -730,7 +784,7 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
     return {
         "engine": engine, "m": m, "seed": seed, "q": config.q,
         "episodes": len(episodes),
-        "steps": sum(len(e.steps) for e in episodes),
+        "steps": sum(e.n_steps for e in episodes),
         "zeta": zeta,
         "converged": zeta is not None,
         "aborted_episodes": sum(1 for e in episodes if e.aborted),

@@ -7,6 +7,7 @@ failure).  Budgets are wall-clock on a single core.
 
 import statistics
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from beampower.radio import (CodeRateMap, RadioState, apply_power_cmd,
                              encode_action, fpa_power_dbm, reward_value,
                              sinr_db, sum_rate)
 from beampower.sim import (TIMING_COLUMNS, TwoCellEnv, best_complete_episode,
-                           ccdf, convergence_episode, read_summary,
-                           replay_episode_channels, run_experiment)
+                           ccdf, read_summary, replay_episode_channels,
+                           run_experiment)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -124,13 +125,35 @@ def test_acceptance_runtime_ratio():
 # 3. the learned policy reaches near-oracle sum rate once converged
 
 
-def _best_ratio_vs_oracle(m: int, seed: int, cap: int):
+@pytest.fixture(scope="module")
+def converged_episodes():
+    """What gates 3, 4 and 6 read of a dqn training run at q=1, by (M, seed,
+    cap, stop rule): (index, sum rate, effective-SINR samples) of each
+    converged episode.  Gate 4's M=4 runs are gate 3's seeds 1-5, so each
+    run is trained once for the module, and on demand, so a gate run alone
+    trains what it needs."""
+    cache = {}
+
+    def converged(m: int, seed: int, cap: int, stop_on_convergence: bool = False):
+        key = (m, seed, cap, stop_on_convergence)
+        if key not in cache:
+            cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(seed,),
+                                episode_cap=cap, m_list=(m,))
+            run = run_experiment(cfg, m, seed, "dqn",
+                                 stop_on_convergence=stop_on_convergence)
+            cache[key] = [(e.index, sum_rate(e.eff_sinr_pairs()),
+                           array("d", e.eff_sinr_samples()))
+                          for e in run.episodes if e.converged]
+        return cache[key]
+
+    return converged
+
+
+def _best_ratio_vs_oracle(converged, m: int, seed: int, cap: int):
     """(converged count, best episode-sum-rate / per-step-oracle ratio)."""
     cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(seed,),
                         episode_cap=cap, m_list=(m,))
-    run = run_experiment(cfg, m, seed, "dqn", stop_on_convergence=False)
-    conv = [(sum_rate(e.eff_sinr_pairs()), e.index)
-            for e in run.episodes if e.converged]
+    conv = [(rate, idx) for idx, rate, _ in converged(m, seed, cap)]
     if not conv:
         return 0, None
     space = SearchSpace(cfg.oracle_power_grid,
@@ -150,14 +173,14 @@ def _best_ratio_vs_oracle(m: int, seed: int, cap: int):
     return len(conv), best
 
 
-def test_acceptance_near_optimal_sinr():
+def test_acceptance_near_optimal_sinr(converged_episodes):
     t0 = time.perf_counter()
     detail = []
     ok = True
     for m, cap in ((4, 6000), (8, 12000)):
         passing = 0
         for seed in range(1, 11):
-            pool, ratio = _best_ratio_vs_oracle(m, seed, cap)
+            pool, ratio = _best_ratio_vs_oracle(converged_episodes, m, seed, cap)
             if pool and ratio >= 0.85:
                 passing += 1
         detail.append(f"M={m}: {passing}/10 seeds with a converged episode "
@@ -173,22 +196,18 @@ def test_acceptance_near_optimal_sinr():
 # 4. doubling the array twice buys ~6 dB of converged SINR
 
 
-def _pooled_converged_median(m: int, seeds, cap: int) -> float:
+def _pooled_converged_median(converged, m: int, seeds, cap: int) -> float:
     samples = []
     for seed in seeds:
-        cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(seed,),
-                            episode_cap=cap, m_list=(m,))
-        run = run_experiment(cfg, m, seed, "dqn", stop_on_convergence=False)
-        for e in run.episodes:
-            if e.converged:
-                samples.extend(e.eff_sinr_samples())
+        for _, _, sinrs in converged(m, seed, cap):
+            samples.extend(sinrs)
     return float(np.median(samples))
 
 
-def test_acceptance_beamforming_gain_trend():
+def test_acceptance_beamforming_gain_trend(converged_episodes):
     seeds = (1, 2, 3, 4, 5)
-    med4 = _pooled_converged_median(4, seeds, 6000)
-    med16 = _pooled_converged_median(16, seeds, 6000)
+    med4 = _pooled_converged_median(converged_episodes, 4, seeds, 6000)
+    med16 = _pooled_converged_median(converged_episodes, 16, seeds, 6000)
     gain = med16 - med4
     _verdict("beamforming gain trend", 4.0 <= gain <= 8.0,
              f"median converged SINR {med16:.2f} dB at M=16 vs {med4:.2f} dB "
@@ -261,17 +280,15 @@ def test_acceptance_voice_engine_ordering():
 # 6. wider arrays take longer to converge
 
 
-def _zeta(m: int, seed: int, cap: int) -> int:
-    cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(seed,),
-                        episode_cap=cap, m_list=(m,))
-    run = run_experiment(cfg, m, seed, "dqn")
-    z = convergence_episode(run.episodes)
-    return cap + 1 if z is None else z
+def _zeta(converged, m: int, seed: int, cap: int) -> int:
+    # the run stops at its first converged episode, the 1-based zeta
+    conv = converged(m, seed, cap, stop_on_convergence=True)
+    return cap + 1 if not conv else conv[0][0] + 1
 
 
-def test_acceptance_convergence_trend():
+def test_acceptance_convergence_trend(converged_episodes):
     cap = 8000
-    zetas = {m: [_zeta(m, seed, cap) for seed in range(1, 11)]
+    zetas = {m: [_zeta(converged_episodes, m, seed, cap) for seed in range(1, 11)]
              for m in (8, 32)}
     med8 = float(np.median(zetas[8]))
     med32 = float(np.median(zetas[32]))

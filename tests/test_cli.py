@@ -114,6 +114,27 @@ def test_report_rejects_a_v1_trace(tmp_path, capsys):
     assert "'# beampower trace v1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper", ["repeat", "skip"])
+def test_report_and_ccdf_reject_steps_out_of_order(tmp_path, capsys, tamper):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", str(out)]) == 0
+    trace = out / "trace_fpa_M1_s2.csv"
+    lines = trace.read_text().splitlines()
+    last = lines[-1].split(",")
+    if tamper == "repeat":
+        lines.append(lines[-1])
+    else:
+        lines[-1] = ",".join([str(int(last[0]) + 1)] + last[1:])
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trace_fpa_M1_s2.csv" in err and f"episode {last[5]} " in err
+    assert cli.main(["ccdf", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "trace_fpa_M1_s2.csv" in err and f"episode {last[5]} " in err
+
+
 def test_report_reproduces_every_run_of_a_seed_sweep(tmp_path):
     # many seeds, not hand-picked ones: a float that does not survive the
     # trace shows up in the summary of only some runs

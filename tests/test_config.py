@@ -8,6 +8,7 @@ import pytest
 
 from beampower import cli
 from beampower.config import _FIELD_TYPES, NetworkConfig
+from beampower.sim import run_experiment, trace_rows
 
 SRC = Path(cli.__file__).resolve().parent
 CONFIG_NAMES = ("config", "cfg")      # how src/ names a NetworkConfig
@@ -52,6 +53,22 @@ def test_every_config_field_is_read_outside_config():
 
 def test_field_types_match_the_fields():
     assert set(_FIELD_TYPES) == {f.name for f in dataclasses.fields(NetworkConfig)}
+
+
+def test_a_float_field_given_an_int_serialises_as_its_text():
+    made = NetworkConfig(q=1, max_power_dbm=46, oracle_power_grid=(40, 42, 44, 46),
+                         engines=("brute_force",), episode_cap=1)
+    read = NetworkConfig.from_text("q = 1\nmax_power_dbm = 46\n"
+                                   "oracle_power_grid = 40,42,44,46\n"
+                                   "engines = brute_force\nepisode_cap = 1\n")
+    assert made == read
+    assert made.to_text() == read.to_text()
+    assert made.config_hash() == read.config_hash()
+    assert type(made.max_power_dbm) is float
+    assert {type(p) for p in made.oracle_power_grid} == {float}
+    rows = [trace_rows(run_experiment(cfg, 4, 1, "brute_force"), cfg)
+            for cfg in (made, read)]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("line", ["l_bs = 3", "net_depth = 2", "n_ue_max = 10",
