@@ -48,12 +48,10 @@ def _run_job(config: NetworkConfig, m: int, seed: int, engine: str):
     """Executed in a worker process; returns everything the parent writes."""
     run = sim.run_experiment(config, m, seed, engine)
     best = sim.best_complete_episode(run.episodes)
-    samples = best.eff_sinr_samples() if best is not None else []
     return {
-        "key": (engine, m, seed),
         "summary": sim.summarize_run(config, run),
         "trace_rows": sim.trace_rows(run, config),
-        "samples": samples,
+        "samples": best.eff_sinr_samples() if best is not None else [],
     }
 
 
@@ -62,20 +60,16 @@ def _write_run_outputs(out: Path, config: NetworkConfig, results: list) -> None:
     cfg_text = config.to_text()
     cfg_hash = text_hash(cfg_text)
     header = sim.trace_header(cfg_text, build_layout(config))
-    rows = []
     for res in results:
-        engine, m, seed = res["key"]
-        stem = f"{engine}_M{m}_s{seed}"
-        sim.write_trace(out / f"trace_{stem}.csv", header, res["trace_rows"])
         summary = res["summary"]
-        if res["samples"]:
-            ccdf_path = out / f"ccdf_{stem}.csv"
+        stem = f"{summary['engine']}_M{summary['m']}_s{summary['seed']}"
+        sim.write_trace(out / f"trace_{stem}.csv", header, res["trace_rows"])
+        if summary["ccdf_file"]:
             body = [f"# config_hash = {cfg_hash}", "eff_sinr_db"]
             body += [sim.fmt(x) for x in res["samples"]]
-            ccdf_path.write_text("\n".join(body) + "\n")
-            summary["ccdf_file"] = ccdf_path.name
-        rows.append(summary)
-    _emit_runtime_ratios(out, _append_summary(out / "summary.csv", rows))
+            (out / summary["ccdf_file"]).write_text("\n".join(body) + "\n")
+    _emit_runtime_ratios(out, _append_summary(out / "summary.csv",
+                                              [res["summary"] for res in results]))
 
 
 def _formatted(row: dict) -> dict:
@@ -158,12 +152,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_ccdf(args) -> int:
-    config, rows = sim.read_trace(args.trace)
-    if not rows:
+    config, run = sim.read_trace(args.trace)
+    if run is None:
         print("trace contains no steps", file=sys.stderr)
         return 2
-    m = rows[0]["m"]
-    episodes = sim.episodes_from_rows(rows, config, m)
+    episodes = run.episodes
     if args.all_steps:
         samples = [g for e in episodes for g in e.eff_sinr_samples()]
     else:
@@ -185,17 +178,9 @@ def _recompute_summary_rows(trace_dir: Path) -> list[dict]:
     """The summary row of every trace in ``trace_dir``, formatted as text."""
     rows = []
     for path in sorted(trace_dir.glob("trace_*.csv")):
-        config, trace = sim.read_trace(path)
-        if not trace:
-            continue
-        engine = trace[0]["engine"]
-        m, seed = trace[0]["m"], trace[0]["seed"]
-        episodes = sim.episodes_from_rows(trace, config, m)
-        row = sim.summarize_episodes(config, m, seed, engine, episodes)
-        best = sim.best_complete_episode(episodes)
-        if best is not None:
-            row["ccdf_file"] = f"ccdf_{engine}_M{m}_s{seed}.csv"
-        rows.append(_formatted(row))
+        config, run = sim.read_trace(path)
+        if run is not None:
+            rows.append(_formatted(sim.summarize_run(config, run)))
     return rows
 
 

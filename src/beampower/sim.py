@@ -27,6 +27,11 @@ Conventions
   so traces and summaries read from it are those of the step values.
   ``EpisodeResult.steps`` builds one ``StepRecord`` per step from the log on
   each access; the program itself reads the log.
+* A trace reads back as its run: ``read_trace`` parses each row straight
+  into its episode's log and rebuilds the ``RunResult``, judging each
+  episode's ending as ``run_episode`` did, with every timing 0.  So
+  ``summarize_run`` builds every summary row, ``ccdf_file`` included, for
+  a run just finished and for one read from its trace alike.
 """
 
 from __future__ import annotations
@@ -616,10 +621,10 @@ def throughput_and_frame_loss(zeta: int, t_frame_ms: float, payload_bits: float,
     return throughput, lost
 
 
-def backhaul_messages_per_episode(config: NetworkConfig, n_ues: int,
-                                  t_steps: int) -> int:
-    """Measurement reports relayed per episode: g * N_CELLS * N_UE per step."""
-    return config.meas_per_step * N_CELLS * n_ues * t_steps
+def backhaul_messages_per_episode(config: NetworkConfig) -> int:
+    """Measurement reports relayed per episode: g per step from each of the
+    N_CELLS UEs (one per BS) to each of the N_CELLS BSs."""
+    return config.meas_per_step * N_CELLS * N_CELLS * config.frame_steps
 
 
 # ---------------------------------------------------------------------------
@@ -693,86 +698,97 @@ def write_trace(path, header: str, rows: Sequence[str]) -> None:
         fh.writelines(f"{row}\n" for row in rows)
 
 
-def read_trace(path) -> tuple[NetworkConfig, list[dict]]:
-    cfg_lines = []
-    rows = []
-    steps_seen: dict[int, int] = {}
-    header = None
+def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
+    """The config in a trace's header and the run its rows hold, timings 0;
+    the run is None for a trace without rows.  Each row goes straight into
+    its episode's step log, and each episode's ending is judged from the log
+    as ``run_episode`` judged it.  A row that does not parse, or that
+    belongs to another run than the first row or the header's config,
+    raises ``ValueError`` naming the file and the line."""
     with open(path) as fh:
         version = fh.readline().rstrip("\n")
         if version != TRACE_VERSION:
             raise ValueError(f"unsupported trace version in {path}: {version!r}, "
                              f"expected {TRACE_VERSION!r}")
-        for raw in fh:
+        cfg_lines = []
+        lineno = 1
+        for lineno, raw in enumerate(fh, 2):
             line = raw.rstrip("\n")
             if line.startswith("# cfg "):
                 cfg_lines.append(line[len("# cfg "):])
-                continue
-            if line.startswith("#") or not line:
-                continue
-            if header is None:
-                header = line.split(",")
-                if tuple(header) != TRACE_COLUMNS:
+            elif line and not line.startswith("#"):
+                if tuple(line.split(",")) != TRACE_COLUMNS:
                     raise ValueError(f"unexpected trace columns in {path}")
+                break
+        config = NetworkConfig.from_text("\n".join(cfg_lines))
+        logs: dict[int, array] = {}
+        key = None               # (engine, q, m, seed) text of the first row
+        for lineno, raw in enumerate(fh, lineno + 1):
+            vals = raw.rstrip("\n").split(",")
+            if vals == [""] or vals[0].startswith("#"):
                 continue
-            vals = line.split(",")
-            row = dict(zip(header, vals))
-            for key in ("t", "q", "m", "seed", "episode", "beam_ell", "beam_b"):
-                row[key] = int(row[key])
-            for key in ("p_ell_dbm", "p_b_dbm", "sinr_ell_db", "sinr_b_db",
-                        "eff_sinr_ell_db", "eff_sinr_b_db", "reward"):
-                row[key] = float(row[key])
-            row["loss"] = float(row["loss"]) if row["loss"] else None
-            row["action"] = int(row["action_hex"], 16) if row["action_hex"] else None
+            where = f"{path} line {lineno}"
+            if len(vals) != len(TRACE_COLUMNS):
+                raise ValueError(f"{where}: expected {len(TRACE_COLUMNS)} fields, "
+                                 f"found {len(vals)}")
+            (t, _, _, _, _, ep, a_hex, p_ell, p_b, n_ell, n_b,
+             g_ell, g_b, e_ell, e_b, r, loss) = vals
+            try:
+                t, ep = int(t), int(ep)
+                step = (int(a_hex, 16) if a_hex else _NO_ACTION, float(r),
+                        float(g_ell), float(g_b), float(e_ell), float(e_b),
+                        float(p_ell), float(p_b), int(n_ell), int(n_b),
+                        float(loss) if loss else _NO_LOSS)
+                if key is None:
+                    key, key_line = vals[1:5], lineno
+                    q, m, seed = map(int, key[1:])
+            except ValueError as exc:
+                raise ValueError(f"{where}: expected a number in every step "
+                                 f"column, {exc}") from None
+            if vals[1:5] != key:
+                raise ValueError(f"{where}: expected engine,q,m,seed = "
+                                 f"{','.join(key)} as on line {key_line}, found "
+                                 f"{','.join(vals[1:5])}")
+            log = logs.get(ep)
+            if log is None:
+                log = logs[ep] = array("d")
             # t is the step's position in its episode's log
-            want = steps_seen.get(row["episode"], 0)
-            if row["t"] != want:
-                raise ValueError(f"{path}: episode {row['episode']} has a step "
-                                 f"t = {row['t']} where t = {want} belongs")
-            steps_seen[row["episode"]] = want + 1
-            rows.append(row)
-    config = NetworkConfig.from_text("\n".join(cfg_lines))
-    return config, rows
-
-
-def episodes_from_rows(rows: Sequence[dict], config: NetworkConfig,
-                       m: int) -> list[EpisodeResult]:
-    """Rebuild EpisodeResult objects (sans timings) from trace rows, which
-    ``read_trace`` returns in step order."""
-    gamma_target = config.gamma_target_db(m)
-    gamma_min = config.gamma_min_db
-    t_steps = config.frame_steps
-    groups: dict[int, list] = {}
-    for row in rows:
-        groups.setdefault(row["episode"], []).append(row)
+            if t != len(log) // LOG_WIDTH:
+                raise ValueError(f"{where}: episode {ep} has a step t = {t} where "
+                                 f"t = {len(log) // LOG_WIDTH} belongs")
+            log.extend(step)
+    if key is None:
+        return config, None
+    if q != config.q or m not in config.m_list:
+        raise ValueError(f"{path} line {key_line}: expected q = {config.q} and M "
+                         f"in {config.m_list}, as the header's config has, found "
+                         f"q = {q}, M = {m}")
+    gamma_target, gamma_min = config.gamma_target_db(m), config.gamma_min_db
     episodes = []
-    for idx in sorted(groups):
-        log = array("d")
-        worst = []
-        for r in groups[idx]:
-            vals = [r[c] for c in LOG_COLUMNS]
-            if vals[0] is None:
-                vals[0] = _NO_ACTION
-            if vals[-1] is None:
-                vals[-1] = _NO_LOSS
-            log.extend(vals)
-            worst.append(min(r["eff_sinr_ell_db"], r["eff_sinr_b_db"]))
+    for idx in sorted(logs):
+        log = logs[idx]
+        worst = [min(pair) for pair in zip(log[_EFF::LOG_WIDTH],
+                                           log[_EFF + 1::LOG_WIDTH])]
         aborted = worst[-1] < gamma_min
-        converged = (not aborted and len(worst) == t_steps
+        converged = (not aborted and len(worst) == config.frame_steps
                      and all(g >= gamma_target for g in worst))
         episodes.append(EpisodeResult(index=idx, log=log, converged=converged,
                                       aborted=aborted, wall_time_s=0.0,
                                       decision_time_s=0.0))
-    return episodes
+    return config, RunResult(engine=key[0], m=m, seed=seed, episodes=episodes,
+                             zeta=convergence_episode(episodes), wall_time_s=0.0,
+                             decision_time_s=0.0,
+                             steps_total=sum(e.n_steps for e in episodes))
 
 
-def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
-                       episodes: Sequence[EpisodeResult],
-                       decision_time_s: float = 0.0, wall_time_s: float = 0.0) -> dict:
-    """One summary row; everything except the timing columns derives from
-    the trace alone.  ``ccdf_file`` is left empty for the caller to name."""
-    zeta = convergence_episode(episodes)
-    max_rate, best_rate_idx = sum_rate_summary(episodes)
+def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
+    """The one summary row of a run, whether ``run_experiment`` returned it
+    or ``read_trace`` rebuilt it from its trace: every column but the
+    timings derives from what the trace holds.  ``ccdf_file`` names the
+    CCDF file that ``run`` writes when a complete episode exists."""
+    episodes = run.episodes
+    zeta = run.zeta
+    max_rate, _ = sum_rate_summary(episodes)
     best = best_complete_episode(episodes)
     throughput = lost = None
     if zeta is not None:
@@ -782,9 +798,9 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
         if config.q == 1:
             lost = None
     return {
-        "engine": engine, "m": m, "seed": seed, "q": config.q,
+        "engine": run.engine, "m": run.m, "seed": run.seed, "q": config.q,
         "episodes": len(episodes),
-        "steps": sum(e.n_steps for e in episodes),
+        "steps": run.steps_total,
         "zeta": zeta,
         "converged": zeta is not None,
         "aborted_episodes": sum(1 for e in episodes if e.aborted),
@@ -792,20 +808,14 @@ def summarize_episodes(config: NetworkConfig, m: int, seed: int, engine: str,
         "max_sum_rate": max_rate,
         "throughput_bps": throughput,
         "lost_voice_frames": lost,
-        "backhaul_msgs_per_episode": backhaul_messages_per_episode(
-            config, N_CELLS, config.frame_steps),  # one active UE per BS
-        "candidates_per_step": (n_candidates(len(config.oracle_power_grid), m)
-                                if engine == "brute_force" else None),
-        "decision_time_s": decision_time_s,
-        "wall_time_s": wall_time_s,
-        "ccdf_file": "",
+        "backhaul_msgs_per_episode": backhaul_messages_per_episode(config),
+        "candidates_per_step": (n_candidates(len(config.oracle_power_grid), run.m)
+                                if run.engine == "brute_force" else None),
+        "decision_time_s": run.decision_time_s,
+        "wall_time_s": run.wall_time_s,
+        "ccdf_file": ("" if best is None
+                      else f"ccdf_{run.engine}_M{run.m}_s{run.seed}.csv"),
     }
-
-
-def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
-    return summarize_episodes(config, run.m, run.seed, run.engine, run.episodes,
-                              decision_time_s=run.decision_time_s,
-                              wall_time_s=run.wall_time_s)
 
 
 def summary_lines(rows: Sequence[dict]) -> list[str]:

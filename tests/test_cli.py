@@ -135,6 +135,77 @@ def test_report_and_ccdf_reject_steps_out_of_order(tmp_path, capsys, tamper):
     assert "trace_fpa_M1_s2.csv" in err and f"episode {last[5]} " in err
 
 
+def _tamper(rows, how):
+    """Edit the trace rows (lists of fields) as ``how`` says; return the
+    index of the row the reader should name."""
+    if how == "other_seed":
+        rows[-1][4] = "9"
+        return len(rows) - 1
+    if how in ("every_q", "every_m"):
+        col, val = (2, "1") if how == "every_q" else (3, "4")
+        for row in rows:
+            row[col] = val
+        return 0
+    if how == "torn":
+        del rows[-1][-3:]
+        return len(rows) - 1
+    rows[0][15] = "abc"          # the reward of the first row
+    return 0
+
+
+_BAD_ROWS = {
+    "other_seed": "expected engine,q,m,seed = fpa,0,1,2 as on line {first}, "
+                  "found fpa,0,1,9",
+    "every_q": "expected q = 0 and M in (1,), as the header's config has, "
+               "found q = 1, M = 1",
+    "every_m": "expected q = 0 and M in (1,), as the header's config has, "
+               "found q = 0, M = 4",
+    "torn": "expected 17 fields, found 14",
+    "non_numeric": "expected a number in every step column, "
+                   "could not convert string to float: 'abc'",
+}
+
+
+@pytest.mark.parametrize("how", list(_BAD_ROWS))
+def test_report_and_ccdf_name_the_line_of_a_bad_row(tmp_path, capsys, how):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", str(out)]) == 0
+    trace = out / "trace_fpa_M1_s2.csv"
+    lines = trace.read_text().splitlines()
+    first = lines.index(",".join(sim.TRACE_COLUMNS)) + 1
+    rows = [line.split(",") for line in lines[first:]]
+    bad = first + _tamper(rows, how)
+    trace.write_text("\n".join(lines[:first] + [",".join(r) for r in rows]) + "\n")
+    # line numbers count from 1, so the first row is line first + 1
+    message = (f"trace_fpa_M1_s2.csv line {bad + 1}: "
+               + _BAD_ROWS[how].format(first=first + 1))
+    capsys.readouterr()
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(["ccdf", "--trace", str(trace)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_trace_of_only_a_header_has_no_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", str(out)]) == 0
+    lines = (out / "trace_fpa_M1_s2.csv").read_text().splitlines()
+    header = "\n".join(lines[:lines.index(",".join(sim.TRACE_COLUMNS)) + 1]) + "\n"
+    empty = out / "trace_fpa_M1_s5.csv"
+    empty.write_text(header)
+    # report skips it beside a trace with rows, and finds nothing when alone
+    assert cli.main(["report", "--dir", str(out)]) == 0
+    assert [r["seed"] for r in read_summary(out / "summary_recomputed.csv")] == ["2"]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / empty.name).write_text(header)
+    capsys.readouterr()
+    assert cli.main(["report", "--dir", str(alone)]) == 2
+    assert f"no traces found in {alone}" in capsys.readouterr().err
+    assert cli.main(["ccdf", "--trace", str(empty)]) == 2
+    assert "trace contains no steps" in capsys.readouterr().err
+
+
 def test_report_reproduces_every_run_of_a_seed_sweep(tmp_path):
     # many seeds, not hand-picked ones: a float that does not survive the
     # trace shows up in the summary of only some runs

@@ -20,13 +20,11 @@ from beampower.sim import (
     best_complete_episode,
     ccdf,
     convergence_episode,
-    episodes_from_rows,
     make_engine,
     read_trace,
     replay_episode_channels,
     run_episode,
     run_experiment,
-    summarize_episodes,
     summarize_run,
     sum_rate_summary,
     throughput_and_frame_loss,
@@ -373,29 +371,69 @@ def test_throughput_and_lost_frames():
 
 def test_backhaul_message_count():
     cfg = _voice_cfg()
-    assert backhaul_messages_per_episode(cfg, 2, 20) == 80
+    assert backhaul_messages_per_episode(cfg) == 80
+
+
+def _written_trace(tmp_path, cfg, run):
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace_header(cfg.to_text(), build_layout(cfg)), trace_rows(run, cfg))
+    return path
 
 
 def test_trace_round_trip(tmp_path):
     cfg = _voice_cfg()
     run = run_experiment(cfg, 1, 3, "fpa")
-    path = tmp_path / "trace.csv"
-    write_trace(path, trace_header(cfg.to_text(), build_layout(cfg)), trace_rows(run, cfg))
-    cfg_back, rows = read_trace(path)
+    cfg_back, back = read_trace(_written_trace(tmp_path, cfg, run))
     assert cfg_back == cfg
     assert cfg_back.config_hash() == cfg.config_hash()
-    assert len(rows) == sum(len(e.steps) for e in run.episodes)
-    rebuilt = episodes_from_rows(rows, cfg_back, 1)
-    # floats are written exactly, so every step reads back unchanged
-    assert [e.steps for e in rebuilt] == [e.steps for e in run.episodes]
-    assert [e.converged for e in rebuilt] == [e.converged for e in run.episodes]
-    assert [e.aborted for e in rebuilt] == [e.aborted for e in run.episodes]
+    assert (back.engine, back.m, back.seed) == ("fpa", 1, 3)
+    assert len(back.episodes) == len(run.episodes)
+    # floats are written exactly, so every step reads back bit for bit (NaN,
+    # the missing loss, included)
+    for got, want in zip(back.episodes, run.episodes):
+        assert got.index == want.index
+        assert got.log.tobytes() == want.log.tobytes()
+        assert (got.converged, got.aborted) == (want.converged, want.aborted)
+    assert (back.zeta, back.steps_total) == (run.zeta, run.steps_total)
+    assert back.wall_time_s == back.decision_time_s == 0.0
     # and the summary rows are equal on everything except wall-clock fields
     direct = summarize_run(cfg, run)
-    recomputed = summarize_episodes(cfg, 1, 3, "fpa", rebuilt)
+    recomputed = summarize_run(cfg_back, back)
+    assert direct["ccdf_file"] == "ccdf_fpa_M1_s3.csv"
     for key, val in direct.items():
         if key not in sim.TIMING_COLUMNS:
             assert recomputed[key] == val, key
+
+
+def test_a_trace_without_rows_reads_as_no_run(tmp_path):
+    cfg = _voice_cfg()
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace_header(cfg.to_text(), build_layout(cfg)), [])
+    assert read_trace(path) == (cfg, None)
+
+
+def _bytes_peak_per_step_reading(path, steps: int) -> float:
+    """Peak bytes traced while reading a trace, per step."""
+    read_trace(path)                    # imports and caches out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / steps
+
+
+def test_reading_a_trace_holds_its_steps_compactly(tmp_path):
+    # a dict per row peaked at about 790 B/step on 64-bit CPython 3.11; rows
+    # parsed straight into each episode's log peak at about 320
+    cfg = NetworkConfig(q=1, m_list=(8,), engines=("dqn",), seeds=(3,),
+                        episode_cap=3000)
+    run = run_experiment(cfg, 8, 3, "dqn", stop_on_convergence=False)
+    path = _written_trace(tmp_path, cfg, run)
+    assert _bytes_peak_per_step_reading(path, run.steps_total) < 600
 
 
 def test_read_trace_rejects_other_versions(tmp_path):
