@@ -4,12 +4,11 @@ from .config import ConfigError, NetworkConfig
 from .geometry import BsSite, Layout, associate, build_layout
 from .channel import (BeamCodebook, ChannelModel, PathLossModel, build_codebook,
                       noise_power_dbm, path_loss_db, sample_channel, steering_vector)
-from .radio import (CodeRateMap, JointCommand, RadioState, apply_power_cmd,
-                    decode_action, effective_sinr_db, encode_action, fpa_power_dbm,
-                    pcode, reward_value, rx_power_mw, sinr_db, step_beam, sum_rate)
+from .radio import (CodeRateMap, JointCommand, apply_power_cmd, decode_action,
+                    effective_sinr_db, encode_action, fpa_power_dbm, pcode,
+                    reward_value, rx_power_mw, sinr_db, step_beam, sum_rate)
 from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
-                     decay_epsilon, normalize_state, select_action, sgd_step,
-                     tabular_update)
+                     decay_epsilon, select_action, sgd_step, tabular_update)
 from .oracle import BruteForceResult, SearchSpace, brute_force
 from .sim import (EpisodeResult, RunResult, StepRecord, TwoCellEnv, ccdf,
                   convergence_episode, best_complete_episode, make_engine,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NetworkConfig
-from .geometry import Layout
 from .radio import N_ACTIONS
+
+STATE_DIM = 8                    # entries of the state TwoCellEnv.observe returns
 
 
 class TrainingDiverged(RuntimeError):
@@ -227,29 +228,6 @@ class ReplayBuffer:
         bonus)."""
         if self._count:
             self.r[self._head - 1] += delta
-
-
-# ---------------------------------------------------------------------------
-# state normalisation
-
-STATE_DIM = 8                    # entries of the state normalize_state returns
-
-
-def normalize_state(raw: np.ndarray, layout: Layout, m: int,
-                    p_max_dbm: float = 46.0) -> np.ndarray:
-    """Map the raw observation into [-1, 1]-ish per dimension.
-
-    raw = (x_l, y_l, x_b, y_b, P_l, P_b, n_l, n_b): UE coordinates are
-    centred on the serving site and divided by the cell radius, powers map
-    by (P - 46)/40, beam indices by 2*(n + 1/2)/M - 1.
-    """
-    r = layout.cell_radius_m
-    s0, s1 = layout.sites[0], layout.sites[1]
-    x_l, y_l, x_b, y_b, p_l, p_b, n_l, n_b = raw.tolist()
-    return np.array([(x_l - s0.x) / r, (y_l - s0.y) / r,
-                     (x_b - s1.x) / r, (y_b - s1.y) / r,
-                     (p_l - p_max_dbm) / 40.0, (p_b - p_max_dbm) / 40.0,
-                     2.0 * (n_l + 0.5) / m - 1.0, 2.0 * (n_b + 0.5) / m - 1.0])
 
 
 # ---------------------------------------------------------------------------

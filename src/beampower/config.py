@@ -146,6 +146,14 @@ class NetworkConfig:
             # r > R/2 is required so neighbouring cells overlap and every
             # point of the plane between sites is covered
             raise ConfigError(f"intersite_factor must be in (0, 2), got {self.intersite_factor}")
+        if not 0 <= self.p_los <= 1:
+            raise ConfigError(f"p_los must be in [0, 1], got {self.p_los}")
+        if self.n_paths_nlos < 1:
+            raise ConfigError(f"n_paths_nlos must be >= 1, got {self.n_paths_nlos}")
+        if not self.step_ms > 0:
+            raise ConfigError(f"step_ms must be positive, got {self.step_ms}")
+        if not self.bandwidth_hz > 0:
+            raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         for m in self.m_list:
             if m not in ALLOWED_M:
                 raise ConfigError(f"m_list entry {m} not in {ALLOWED_M}")
@@ -160,6 +168,8 @@ class NetworkConfig:
             raise ConfigError("seeds must be non-empty")
         if self.minibatch < 1:
             raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
+        if self.replay_capacity < 1:
+            raise ConfigError(f"replay_capacity must be >= 1, got {self.replay_capacity}")
         # hidden width rule: H = sqrt((|A| + 2) * N_mb), |A| the register's
         # values (radio imports this module, so import it here)
         from .radio import N_ACTIONS

@@ -1,8 +1,8 @@
 """Exhaustive joint search over transmit powers and beams.
 
 The point of this module is an unarguable reference optimum, so candidates
-are enumerated one by one and scored through the same SINR arithmetic the
-engines use -- no pruning, no shortcuts.
+are enumerated one by one and each is scored by the two calls of
+``radio.sinr_db`` that score an engine's step -- no pruning, no shortcuts.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import BeamCodebook
-from .radio import CodeRateMap, RadioState, effective_sinr_db, sinr_db
+from .radio import CodeRateMap, effective_sinr_db, sinr_db
 
 
 def n_candidates(n_powers: int, n_beams: int) -> int:
@@ -55,16 +55,14 @@ def brute_force(channels: Sequence, space: SearchSpace, q: int,
     """
     codebook = space.codebook
     pairs = [(p, n) for p in space.power_grid_dbm for n in range(len(codebook))]
-    # one state per call: each candidate rebinds its powers and beams
-    state = RadioState(powers_dbm=None, beams=None, channels=channels,
-                       codebook=codebook, noise_mw=noise_mw, q=q)
     best = None
     n_eval = 0
     for (p0, n0), (p1, n1) in itertools.product(pairs, repeat=2):
-        state.powers_dbm = powers = (p0, p1)
-        state.beams = beams = (n0, n1)
-        effs = (effective_sinr_db(sinr_db(state, 0), q, code_map),
-                effective_sinr_db(sinr_db(state, 1), q, code_map))
+        powers, beams = (p0, p1), (n0, n1)
+        effs = (effective_sinr_db(sinr_db(channels, powers, beams, codebook,
+                                          noise_mw, 0), q, code_map),
+                effective_sinr_db(sinr_db(channels, powers, beams, codebook,
+                                          noise_mw, 1), q, code_map))
         obj = sum(effs)
         n_eval += 1
         if best is None or obj > best[0]:

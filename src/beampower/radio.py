@@ -44,27 +44,15 @@ def rx_power_mw(p_tx_dbm: float, h: np.ndarray, f: np.ndarray) -> float:
     return db_to_lin(p_tx_dbm) * abs(np.vdot(h, f)) ** 2
 
 
-@dataclass
-class RadioState:
-    """Snapshot of both links at one step: UE j is served by BS j and the
-    other BS interferes."""
-
-    powers_dbm: tuple
-    beams: tuple
-    channels: Sequence            # channels[ue][bs] -> (M,) complex array
-    codebook: BeamCodebook
-    noise_mw: float
-    q: int
-
-
-def sinr_db(state: RadioState, ue: int) -> float:
-    """Serving power over noise plus inter-cell interference, in dB."""
-    num = rx_power_mw(state.powers_dbm[ue], state.channels[ue][ue],
-                      state.codebook.beam(state.beams[ue]))
+def sinr_db(channels: Sequence, powers_dbm: Sequence[float], beams: Sequence[int],
+            codebook: BeamCodebook, noise_mw: float, ue: int) -> float:
+    """SINR of UE ``ue`` in dB: UE j is served by BS j and the other BS
+    interferes.  ``channels[ue][bs]`` is an (M,) complex array, and
+    ``powers_dbm``/``beams`` hold each BS's transmit power and beam index."""
+    num = rx_power_mw(powers_dbm[ue], channels[ue][ue], codebook.beam(beams[ue]))
     other = 1 - ue
-    den = state.noise_mw + rx_power_mw(state.powers_dbm[other],
-                                       state.channels[ue][other],
-                                       state.codebook.beam(state.beams[other]))
+    den = noise_mw + rx_power_mw(powers_dbm[other], channels[ue][other],
+                                 codebook.beam(beams[other]))
     return lin_to_db(num / den)
 
 

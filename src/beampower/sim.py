@@ -5,9 +5,15 @@ Conventions
 -----------
 * BS 0 is "l" (serves UE 0), BS 1 is "b" (serves UE 1); the action register
   addresses them as described in :mod:`beampower.radio`.
-* One UE is active per BS.  Each episode drops the UEs afresh and walks
-  them independently of any engine decision, so every engine sees
-  bit-identical mobility and channel traces for the same (config, seed).
+* One UE is active per BS, so UE j is served by BS j, j < ``N_CELLS``.
+  Each episode drops the UEs afresh and walks them independently of any
+  engine decision, so every engine sees bit-identical mobility and channel
+  traces for the same (config, seed).
+* The learners' state at a step is the 8-vector ``TwoCellEnv.observe``
+  builds: each UE's reported position relative to its serving site over the
+  cell radius, each BS's power as (P - P_max) / 40 and its beam index as
+  2 (n + 1/2) / M - 1, l before b.  A step is scored by one
+  ``radio.sinr_db`` call per UE on the step's channels, powers and beams.
 * All per-episode randomness (fading, shadowing, walk directions) comes
   from a substream keyed by (seed, episode), and all of it is drawn when
   the episode begins, so the substream is consumed the same way however
@@ -45,15 +51,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
-                     decay_epsilon, normalize_state, select_action, sgd_step,
-                     tabular_update)
+                     decay_epsilon, select_action, sgd_step, tabular_update)
 from .channel import (ChannelModel, build_codebook, draw_link_fading, link_set,
                       noise_power_dbm, prepare_link, realize_channel)
 from .config import ALLOWED_ENGINES, ConfigError, NetworkConfig, text_hash
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
 from .oracle import SearchSpace, brute_force, n_candidates
-from .radio import (N_ACTIONS, CodeRateMap, RadioState, db_to_lin, decode_action,
+from .radio import (N_ACTIONS, CodeRateMap, db_to_lin, decode_action,
                     apply_power_cmd, effective_sinr_db, fpa_power_dbm,
                     reward_value, sinr_db, step_beam, sum_rate)
 
@@ -141,7 +146,6 @@ class TwoCellEnv:
         self.seed = seed
         self.q = config.q
         self.layout = build_layout(config)
-        self.n_ues = len(self.layout.sites)
         self.codebook = build_codebook(m, config.d_over_lambda, config.codebook_centered)
         self.chan_model = ChannelModel.from_config(config)
         self.noise_dbm = noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)
@@ -159,8 +163,8 @@ class TwoCellEnv:
         else:
             p0 = config.max_power_dbm
         self.initial_power_dbm = p0
-        self.powers_dbm = [p0] * self.n_ues
-        self.beams = [0] * self.n_ues
+        self.powers_dbm = [p0] * N_CELLS
+        self.beams = [0] * N_CELLS
 
         self.episode = -1
         self._angles = None          # [ue] walk directions, T floats each
@@ -194,11 +198,11 @@ class TwoCellEnv:
             drops.append((x, y))
         # one row per UE, drawn in the order of one draw per UE
         self._angles = rng.uniform(0.0, 2.0 * math.pi,
-                                   size=(self.n_ues, self.t_steps)).tolist()
+                                   size=(N_CELLS, self.t_steps)).tolist()
         model = self.chan_model
         self._links = link_set(model, [
             prepare_link(model, draw_link_fading(model, rng), site, self.m)
-            for _ in range(self.n_ues) for site in sites], self.m)
+            for _ in range(N_CELLS) for site in sites], self.m)
         self._traj = [[drop] for drop in drops]
         self._chan_cache = {}
         return self.episode
@@ -219,16 +223,24 @@ class TwoCellEnv:
 
     # ---- per-step views ----------------------------------------------------
 
-    def _state_at(self, pos_idx: int) -> np.ndarray:
+    def positions(self, pos_idx: int) -> list:
+        """Each UE's (x, y) after its first ``pos_idx`` moves, UE l first."""
         self._walk_to(pos_idx)
-        x_ell, y_ell = self._traj[IDX_ELL][pos_idx]
-        x_b, y_b = self._traj[IDX_B][pos_idx]
-        return np.array([x_ell, y_ell, x_b, y_b,
-                         self.powers_dbm[IDX_ELL], self.powers_dbm[IDX_B],
-                         float(self.beams[IDX_ELL]), float(self.beams[IDX_B])])
+        return [path[pos_idx] for path in self._traj]
+
+    def _state_at(self, pos_idx: int) -> np.ndarray:
+        (x_ell, y_ell), (x_b, y_b) = self.positions(pos_idx)
+        site_ell, site_b = self.layout.sites
+        r, p_max, m = self.layout.cell_radius_m, self.config.max_power_dbm, self.m
+        (p_ell, p_b), (n_ell, n_b) = self.powers_dbm, self.beams
+        return np.array([(x_ell - site_ell.x) / r, (y_ell - site_ell.y) / r,
+                         (x_b - site_b.x) / r, (y_b - site_b.y) / r,
+                         (p_ell - p_max) / 40.0, (p_b - p_max) / 40.0,
+                         2.0 * (n_ell + 0.5) / m - 1.0, 2.0 * (n_b + 0.5) / m - 1.0])
 
     def observe(self, k: int) -> np.ndarray:
-        """Raw state after the k-th move (UEs move, then the agent acts)."""
+        """The learners' state after the k-th move (UEs move, then the agent
+        acts); see the module notes."""
         return self._state_at(k + 1)
 
     def observe_next(self, k: int) -> np.ndarray:
@@ -238,21 +250,16 @@ class TwoCellEnv:
         """channels[ue][bs] at step k, (M,) arrays realised in one batch from
         the episode's links."""
         if k not in self._chan_cache:
-            self._walk_to(k + 1)
-            pos = [path[k + 1] for path in self._traj for _ in range(N_CELLS)]
+            pos = [xy for xy in self.positions(k + 1) for _ in range(N_CELLS)]
             h = realize_channel(self._links, pos)
             self._chan_cache[k] = [[h[N_CELLS * u + b] for b in range(N_CELLS)]
-                                   for u in range(self.n_ues)]
+                                   for u in range(N_CELLS)]
         return self._chan_cache[k]
 
-    def radio_state(self, k: int) -> RadioState:
-        return RadioState(powers_dbm=tuple(self.powers_dbm), beams=tuple(self.beams),
-                          channels=self.channels(k), codebook=self.codebook,
-                          noise_mw=self.noise_mw, q=self.q)
-
     def sinrs_db(self, k: int) -> tuple:
-        state = self.radio_state(k)
-        return tuple(sinr_db(state, u) for u in range(self.n_ues))
+        chans, powers, beams = self.channels(k), self.powers_dbm, self.beams
+        return tuple(sinr_db(chans, powers, beams, self.codebook, self.noise_mw, u)
+                     for u in range(N_CELLS))
 
     # ---- command application ----------------------------------------------
 
@@ -299,12 +306,12 @@ class FpaEngine:
                                        config.max_power_dbm)
 
     def begin_episode(self, env: TwoCellEnv) -> None:
-        env.set_levels([self.power_dbm] * env.n_ues, [0] * env.n_ues)
+        env.set_levels([self.power_dbm] * N_CELLS, [0] * N_CELLS)
 
-    def act(self, env, k, s_raw):
+    def act(self, env, k, s):
         return None
 
-    def learn(self, s_raw, a, r, s_next_raw, terminal):
+    def learn(self, s, a, r, s_next, terminal):
         return None
 
     def finish_episode(self, bonus: float) -> None:
@@ -323,13 +330,13 @@ class BruteForceEngine:
     def begin_episode(self, env: TwoCellEnv) -> None:
         pass
 
-    def act(self, env, k, s_raw):
+    def act(self, env, k, s):
         res = brute_force(env.channels(k), self.space, env.q, env.code_map,
                           env.noise_mw, env.gamma_target_db)
         env.set_levels(res.powers_dbm, res.beams)
         return None
 
-    def learn(self, s_raw, a, r, s_next_raw, terminal):
+    def learn(self, s, a, r, s_next, terminal):
         return None
 
     def finish_episode(self, bonus: float) -> None:
@@ -348,29 +355,16 @@ class DqnEngine:
         self.buffer = ReplayBuffer(config.replay_capacity)
         self.n_mb = config.minibatch
         self.eta = config.learning_rate
-        self.layout = env.layout
-        self.m = env.m
-        self.p_max = config.max_power_dbm
-        self._last_norm = None
-        self._memo = (None, None)    # (raw array, its normalised state)
-
-    def _norm(self, raw):
-        # run_episode hands act the same array that learn normalised as the
-        # previous step's next state; reuse it by identity
-        if raw is not self._memo[0]:
-            self._memo = (raw, normalize_state(raw, self.layout, self.m, self.p_max))
-        return self._memo[1]
 
     def begin_episode(self, env: TwoCellEnv) -> None:
         pass
 
-    def act(self, env, k, s_raw):
+    def act(self, env, k, s):
         decay_epsilon(self.policy)
-        self._last_norm = self._norm(s_raw)
-        return select_action(self.net, self._last_norm, self.policy, self.rng)
+        return select_action(self.net, s, self.policy, self.rng)
 
-    def learn(self, s_raw, a, r, s_next_raw, terminal):
-        self.buffer.push(self._last_norm, a, r, self._norm(s_next_raw), terminal)
+    def learn(self, s, a, r, s_next, terminal):
+        self.buffer.push(s, a, r, s_next, terminal)
         if len(self.buffer) < self.n_mb:
             return None
         _, loss = sgd_step(self.net, *self.buffer.sample(self.n_mb, self.rng),
@@ -391,40 +385,37 @@ class TabularEngine:
         self.table = QTable(bins=config.tabular_bins)
         self.policy = PolicyState.from_config(config)
         self.alpha = config.tabular_alpha
-        self.layout = env.layout
-        self.m = env.m
-        self.p_max = config.max_power_dbm
-        self._last_idx = None
         self._last_update = None
-        self._memo = (None, None)    # (raw array, its table row)
+        self._memo = (None, None)    # (state array, its table row)
 
-    def _index(self, raw):
-        # the same reuse by identity as DqnEngine._norm; table rows never
-        # move, so a memoised row stays valid when the table grows
-        if raw is not self._memo[0]:
+    def _row(self, s):
+        # run_episode hands act, and then learn, the array that learn looked
+        # up as the previous step's next state; reuse its row by identity.
+        # Table rows never move, so a memoised row stays valid as it grows
+        if s is not self._memo[0]:
             table = self.table
-            self._memo = (raw, table.row(table.state_index(
-                normalize_state(raw, self.layout, self.m, self.p_max))))
+            self._memo = (s, table.row(table.state_index(s)))
         return self._memo[1]
 
     def begin_episode(self, env: TwoCellEnv) -> None:
         pass
 
-    def act(self, env, k, s_raw):
+    def act(self, env, k, s):
         decay_epsilon(self.policy)
-        self._last_idx = self._index(s_raw)
+        s_idx = self._row(s)
         if self.rng.random() < self.policy.epsilon:
             return int(self.rng.integers(N_ACTIONS))
-        row = self.table.values[self._last_idx]
+        row = self.table.values[s_idx]
         best = np.flatnonzero(row == row.max())
         # break value ties at random: the table starts all-zero and a fixed
         # tie-break would hard-wire one register until rewards arrive
         return int(self.rng.choice(best))
 
-    def learn(self, s_raw, a, r, s_next_raw, terminal):
-        s_idx = self._last_idx
-        # look the next row up first: it may grow (replace) table.values
-        s_next_idx = self._index(s_next_raw)
+    def learn(self, s, a, r, s_next, terminal):
+        s_idx = self._row(s)
+        # look the rows up before the update: the next one may grow (replace)
+        # table.values
+        s_next_idx = self._row(s_next)
         tabular_update(self.table.values, s_idx, a, r, s_next_idx,
                        self.alpha, self.policy.discount)
         self._last_update = (s_idx, a)
@@ -470,12 +461,12 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
     all_meet = True
     decision_s = 0.0
     wall0 = time.perf_counter()
-    s_next_raw = None
+    s_next = None
     for k in range(t_steps):
         # a continuing step's next state is the state the following step sees
-        s_raw = env.observe(k) if k == 0 else s_next_raw
+        s = env.observe(k) if k == 0 else s_next
         t0 = time.perf_counter()
-        a = engine.act(env, k, s_raw)
+        a = engine.act(env, k, s)
         decision_s += time.perf_counter() - t0
         if a is not None:
             env.apply_register(a)
@@ -490,9 +481,9 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
         if abort:
             r = cfg.r_min
         terminal = abort or k == t_steps - 1
-        s_next_raw = env.observe_next(k)
+        s_next = env.observe_next(k)
         t0 = time.perf_counter()
-        loss = engine.learn(s_raw, a, r, s_next_raw, terminal)
+        loss = engine.learn(s, a, r, s_next, terminal)
         decision_s += time.perf_counter() - t0
         powers, beams = env.powers_dbm, env.beams
         log += (_NO_ACTION if a is None else a, r, g_ell, g_b, eff_ell, eff_b,
@@ -528,9 +519,9 @@ class RunResult:
 
 
 def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
-                   episode_cap: int | None = None,
                    stop_on_convergence: bool = True) -> RunResult:
-    """Run episodes until the target holds for a whole frame, or the cap.
+    """Run episodes until the target holds for a whole frame, or until
+    ``config.episode_cap`` episodes have run.
 
     A ``TrainingDiverged`` is raised again with the episode index in front.
     Overflow warnings are silenced for the whole run: a diverging learner
@@ -540,10 +531,9 @@ def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
         raise ConfigError(f"M={m} is not in the configured m_list {config.m_list}")
     env = TwoCellEnv(config, m, seed)
     engine = make_engine(engine_name, config, env, seed)
-    cap = episode_cap if episode_cap is not None else config.episode_cap
     episodes = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cap):
+        for _ in range(config.episode_cap):
             try:
                 res = run_episode(env, engine)
             except TrainingDiverged as exc:
@@ -583,17 +573,11 @@ def best_complete_episode(results: Sequence[EpisodeResult]) -> EpisodeResult | N
     return best
 
 
-def sum_rate_summary(results: Sequence[EpisodeResult]) -> tuple:
-    """(max episode sum rate, 1-based episode index), or (None, None) if
-    every episode aborted."""
-    best_rate, best_idx = None, None
-    for i, r in enumerate(results):
-        if r.aborted or not r.log:
-            continue
-        rate = sum_rate(r.eff_sinr_pairs())
-        if best_rate is None or rate > best_rate:
-            best_rate, best_idx = rate, i + 1
-    return best_rate, best_idx
+def sum_rate_summary(results: Sequence[EpisodeResult]) -> float | None:
+    """The largest sum rate of a complete episode, or None if every episode
+    aborted."""
+    return max((sum_rate(r.eff_sinr_pairs()) for r in results
+                if not r.aborted and r.log), default=None)
 
 
 def ccdf(samples: Sequence[float], thresholds: Sequence[float] | None = None,
@@ -788,7 +772,7 @@ def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
     CCDF file that ``run`` writes when a complete episode exists."""
     episodes = run.episodes
     zeta = run.zeta
-    max_rate, _ = sum_rate_summary(episodes)
+    max_rate = sum_rate_summary(episodes)
     best = best_complete_episode(episodes)
     throughput = lost = None
     if zeta is not None:

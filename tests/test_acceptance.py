@@ -19,13 +19,12 @@ from beampower.channel import (ChannelModel, build_codebook, noise_power_dbm,
 from beampower.config import NetworkConfig
 from beampower.geometry import build_layout
 from beampower.oracle import SearchSpace, brute_force
-from beampower.radio import (CodeRateMap, RadioState, apply_power_cmd,
-                             db_to_lin, decode_action, effective_sinr_db,
-                             encode_action, fpa_power_dbm, reward_value,
-                             sinr_db, sum_rate)
-from beampower.sim import (TIMING_COLUMNS, TwoCellEnv, best_complete_episode,
-                           ccdf, read_summary, replay_episode_channels,
-                           run_experiment)
+from beampower.radio import (CodeRateMap, apply_power_cmd, db_to_lin,
+                             decode_action, effective_sinr_db, encode_action,
+                             fpa_power_dbm, reward_value, sinr_db, sum_rate)
+from beampower.sim import (N_CELLS, TIMING_COLUMNS, TwoCellEnv,
+                           best_complete_episode, ccdf, read_summary,
+                           replay_episode_channels, run_experiment)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -67,13 +66,10 @@ def test_acceptance_oracle_equivalence():
                 for n0 in range(m):
                     for i1, p1 in enumerate(grid):
                         for n1 in range(m):
-                            st = RadioState(powers_dbm=(p0, p1),
-                                            beams=(n0, n1), channels=chans,
-                                            codebook=cb, noise_mw=noise_mw,
-                                            q=cfg.q)
                             obj = sum(
-                                effective_sinr_db(sinr_db(st, u), cfg.q,
-                                                  code_map)
+                                effective_sinr_db(
+                                    sinr_db(chans, (p0, p1), (n0, n1), cb,
+                                            noise_mw, u), cfg.q, code_map)
                                 for u in range(2))
                             if best_obj is None or obj > best_obj:
                                 best_obj = obj
@@ -232,7 +228,7 @@ def _static_fpa_samples(cfg: NetworkConfig, seed: int) -> list:
     out = []
     for ep in range(cfg.episode_cap):
         env.begin_episode(ep)
-        env.set_levels([p_fpa] * env.n_ues, [0] * env.n_ues)
+        env.set_levels([p_fpa] * N_CELLS, [0] * N_CELLS)
         for k in range(env.t_steps):
             for g in env.sinrs_db(k):
                 out.append(effective_sinr_db(g, cfg.q, env.code_map))
@@ -381,12 +377,9 @@ def test_acceptance_property_suite():
                   for site in layout.sites] for _ in range(2)]
         p0, p1 = rng.uniform(20, 44, size=2)
         beams = tuple(rng.integers(0, 4, size=2))
-        base = RadioState((p0, p1), beams, chans, cb, noise_mw, 1)
-        up_srv = RadioState((p0 + 2, p1), beams, chans, cb, noise_mw, 1)
-        up_int = RadioState((p0, p1 + 2), beams, chans, cb, noise_mw, 1)
-        g = sinr_db(base, 0)
-        ok &= sinr_db(up_srv, 0) >= g - 1e-9
-        ok &= sinr_db(up_int, 0) <= g + 1e-9
+        g = sinr_db(chans, (p0, p1), beams, cb, noise_mw, 0)
+        ok &= sinr_db(chans, (p0 + 2, p1), beams, cb, noise_mw, 0) >= g - 1e-9
+        ok &= sinr_db(chans, (p0, p1 + 2), beams, cb, noise_mw, 0) <= g + 1e-9
     checks.append(("SINR monotonicity", ok))
 
     ok = all(encode_action(decode_action(a, q), q) == a

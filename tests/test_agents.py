@@ -13,13 +13,11 @@ from beampower.agents import (
     ReplayBuffer,
     TrainingDiverged,
     decay_epsilon,
-    normalize_state,
     select_action,
     sgd_step,
     tabular_update,
 )
 from beampower.config import NetworkConfig
-from beampower.geometry import build_layout
 
 
 def _net(seed=0) -> QNetwork:
@@ -286,14 +284,6 @@ def test_exploration_is_uniform():
     for _ in range(16_000):
         counts[select_action(net, np.zeros(8), pol, rng)] += 1
     assert stats.chisquare(counts).pvalue > 1e-4
-
-
-def test_normalize_state_hand_case():
-    layout = build_layout(NetworkConfig(q=0))  # sites at x=0 and x=525, r=350
-    raw = np.array([35.0, -70.0, 560.0, 70.0, 46.0, 6.0, 0.0, 3.0])
-    z = normalize_state(raw, layout, 4)
-    assert z == pytest.approx([0.1, -0.2, 0.1, 0.2, 0.0, -1.0, -0.75, 0.75])
-    assert np.all(np.abs(z) <= 1.0 + 1e-12)
 
 
 def test_qtable_indexing():

@@ -85,14 +85,19 @@ def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", [0, -1])
-def test_frame_steps_below_one_is_a_config_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("key, value", [
     # a frame without steps would write empty traces that report cannot read
+    ("frame_steps", 0), ("frame_steps", -1),
+    # unchecked, each of these fails a run part way (exit 2) or is accepted
+    ("step_ms", 0), ("replay_capacity", 0), ("bandwidth_hz", 0),
+    ("n_paths_nlos", 0), ("p_los", 1.5), ("p_los", -0.5),
+])
+def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"q = 0\nengines = fpa\nepisode_cap = 1\nframe_steps = {value}\n")
+    cfg.write_text(f"q = 0\nengines = fpa,tabular,dqn\nepisode_cap = 1\n{key} = {value}\n")
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "frame_steps" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

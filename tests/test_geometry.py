@@ -1,9 +1,10 @@
 """Cell layout, uniform drops, association, and the bounded random walk.
 
 Drops and the walk happen in ``TwoCellEnv``, so their properties are checked
-through it.  With ``ue_speed_kmh = 0`` the UEs never move, and ``observe(k)``
-shows the episode's drop; the drop does not depend on the speed, because the
-walk directions are drawn after it from the same substream.
+through its ``positions`` accessor, whose position 0 is the episode's drop.
+With ``ue_speed_kmh = 0`` the UEs never move; the drop does not depend on the
+speed, because the walk directions are drawn after it from the same
+substream.
 """
 
 import math
@@ -53,9 +54,9 @@ def test_disk_drop_radial_cdf():
     assert np.max(np.abs(emp - ana)) < 0.01
 
 
-def _drops(env: TwoCellEnv) -> np.ndarray:
-    """(x_l, y_l, x_b, y_b) of the current episode's drop, for a still env."""
-    return env.observe(0)[:4]
+def _drops(env: TwoCellEnv) -> tuple:
+    """((x_l, y_l), (x_b, y_b)) of the current episode's drop."""
+    return tuple(env.positions(0))
 
 
 def test_drop_determinism_and_membership():
@@ -72,8 +73,7 @@ def _check_drops(cfg: NetworkConfig, m: int) -> None:
         drops.append(_drops(env))
     # each UE starts inside its own cell and associates to it
     for d in drops:
-        for u in range(2):
-            x, y = d[2 * u:2 * u + 2]
+        for u, (x, y) in enumerate(d):
             site = layout.site(u)
             assert math.hypot(x - site.x, y - site.y) <= layout.cell_radius_m + 1e-9
             assert associate(x, y, layout) == u
@@ -82,11 +82,11 @@ def _check_drops(cfg: NetworkConfig, m: int) -> None:
     again = TwoCellEnv(cfg, m, 3)
     for episode in (250, 7, 0, 299):
         again.begin_episode(episode)
-        assert np.array_equal(_drops(again), drops[episode])
-    assert len({d.tobytes() for d in drops}) == len(drops)    # every episode re-drops
+        assert _drops(again) == drops[episode]
+    assert len(set(drops)) == len(drops)    # every episode re-drops
     other = TwoCellEnv(cfg, m, 4)
     other.begin_episode(0)
-    assert not np.array_equal(_drops(other), drops[0])
+    assert _drops(other) != drops[0]
 
 
 def test_associate_matches_argmin_scan():
@@ -117,9 +117,8 @@ def test_zero_speed_is_fixed_point():
     for _ in range(5):
         env.begin_episode()
         start = _drops(env)
-        for k in range(env.t_steps):
-            assert np.array_equal(env.observe(k)[:4], start)
-            assert np.array_equal(env.observe_next(k)[:4], start)
+        for k in range(env.t_steps + 1):
+            assert tuple(env.positions(k)) == start
 
 
 def test_walk_never_leaves_cell(monkeypatch):
@@ -138,11 +137,10 @@ def test_walk_never_leaves_cell(monkeypatch):
     r = env.layout.cell_radius_m
     for _ in range(4):
         env.begin_episode()
-        for k in range(env.t_steps):
-            pos = env.observe(k)
-            for u in range(2):
+        for k in range(env.t_steps + 1):
+            for u, (x, y) in enumerate(env.positions(k)):
                 site = env.layout.site(u)
-                assert math.hypot(pos[2 * u] - site.x, pos[2 * u + 1] - site.y) <= r + 1e-9
+                assert math.hypot(x - site.x, y - site.y) <= r + 1e-9
     assert sum(outside) > 100
 
 

@@ -9,7 +9,7 @@ from beampower.channel import ChannelModel, build_codebook, noise_power_dbm, sam
 from beampower.config import NetworkConfig
 from beampower.geometry import build_layout
 from beampower.oracle import SearchSpace, brute_force
-from beampower.radio import CodeRateMap, RadioState, db_to_lin, effective_sinr_db, sinr_db
+from beampower.radio import CodeRateMap, db_to_lin, effective_sinr_db, sinr_db
 
 
 def _random_channels(rng, m, cfg):
@@ -36,11 +36,9 @@ def _enumerate_best(channels, grid, cb, q, code_map, noise_mw):
         for n0 in range(len(cb)):
             for p1 in grid:
                 for n1 in range(len(cb)):
-                    st = RadioState(powers_dbm=(p0, p1), beams=(n0, n1),
-                                    channels=channels, codebook=cb,
-                                    noise_mw=noise_mw, q=q)
-                    effs = tuple(effective_sinr_db(sinr_db(st, u), q, code_map)
-                                 for u in range(2))
+                    effs = tuple(effective_sinr_db(
+                        sinr_db(channels, (p0, p1), (n0, n1), cb, noise_mw, u),
+                        q, code_map) for u in range(2))
                     total = sum(effs)
                     count += 1
                     if best is None or total > best[0]:

@@ -12,7 +12,6 @@ from beampower.radio import (
     POWER_CODES_DB,
     CodeRateMap,
     JointCommand,
-    RadioState,
     apply_power_cmd,
     db_to_lin,
     decode_action,
@@ -52,22 +51,22 @@ def _chan(amp: float) -> np.ndarray:
     return np.array([amp + 0.0j])
 
 
-def _two_cell_state(p0=40.0, p1=40.0):
-    """Hand-sized single-antenna two-cell state with known gains."""
+def _two_cell(p0=40.0, p1=40.0) -> tuple:
+    """The leading ``sinr_db`` arguments of a hand-sized single-antenna
+    two-cell step with known gains."""
     cb = build_codebook(1)
     # channels[ue][bs]: serving power gain 1, cross power gain 0.1
     serve, cross = _chan(1.0), _chan(0.31622776601683794)
     channels = [[serve, cross], [cross, serve]]
-    return RadioState(powers_dbm=(p0, p1), beams=(0, 0), channels=channels,
-                      codebook=cb, noise_mw=1.0, q=0)
+    return channels, (p0, p1), (0, 0), cb, 1.0
 
 
 def test_sinr_hand_computed():
     # UE0: S = 10^4, I = 10^3, N = 1 -> 10*log10(10^4/(10^3+1))
-    st = _two_cell_state()
+    step = _two_cell()
     expect = 10.0 * math.log10(1e4 / (1e3 + 1.0))
-    assert sinr_db(st, 0) == pytest.approx(expect)
-    assert sinr_db(st, 1) == pytest.approx(expect)
+    assert sinr_db(*step, 0) == pytest.approx(expect)
+    assert sinr_db(*step, 1) == pytest.approx(expect)
 
 
 def test_sinr_monotone_in_powers():
@@ -75,9 +74,9 @@ def test_sinr_monotone_in_powers():
     for _ in range(100):
         p0 = rng.uniform(20, 44)
         p1 = rng.uniform(20, 44)
-        base = sinr_db(_two_cell_state(p0, p1), 0)
-        assert sinr_db(_two_cell_state(p0 + 1, p1), 0) > base
-        assert sinr_db(_two_cell_state(p0, p1 + 1), 0) < base
+        base = sinr_db(*_two_cell(p0, p1), 0)
+        assert sinr_db(*_two_cell(p0 + 1, p1), 0) > base
+        assert sinr_db(*_two_cell(p0, p1 + 1), 0) < base
 
 
 def test_code_rate_map_betas():

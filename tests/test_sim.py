@@ -14,6 +14,7 @@ from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_los
                                path_loss_terms, steering_vector)
 from beampower.config import ConfigError, NetworkConfig
 from beampower.geometry import build_layout
+from beampower.oracle import SearchSpace, brute_force
 from beampower.sim import (
     TwoCellEnv,
     backhaul_messages_per_episode,
@@ -56,11 +57,28 @@ def test_channels_are_engine_independent():
     env_b.begin_episode(1)         # direct jump to episode 1
     # different driving engines cannot change what the UEs will measure
     env_b.set_levels((0.0, 0.0), (3, 2))
-    for k in range(cfg.frame_steps):
-        assert np.array_equal(env_a.observe(k)[:4], env_b.observe(k)[:4])
+    for k in range(cfg.frame_steps + 1):
+        assert env_a.positions(k) == env_b.positions(k)
     for u in range(2):
         for s in range(2):
             assert np.allclose(env_a.channels(0)[u][s], env_b.channels(0)[u][s])
+
+
+def test_observe_normalises_the_state_hand_case(monkeypatch):
+    env = TwoCellEnv(NetworkConfig(q=1, m_list=(4,)), 4, 1)  # sites x=0, x=225; r=150
+    asked = []
+
+    def positions(pos_idx):
+        asked.append(pos_idx)
+        return [(15.0, -30.0), (240.0, 30.0)]
+
+    monkeypatch.setattr(env, "positions", positions)
+    env.set_levels((46.0, 6.0), (0, 3))
+    want = [0.1, -0.2, 0.1, 0.2, 0.0, -1.0, -0.75, 0.75]
+    assert env.observe(0) == pytest.approx(want)
+    assert env.observe_next(env.t_steps - 1) == pytest.approx(want)
+    # the state after move k + 1; the last step's next state repeats the last
+    assert asked == [1, env.t_steps]
 
 
 def test_walk_does_not_depend_on_read_order():
@@ -86,10 +104,9 @@ def test_walk_does_not_depend_on_read_order():
         for s in range(2):
             assert np.array_equal(env_a.channels(t - 1)[u][s], late[u][s])
             assert np.array_equal(env_a.channels(0)[u][s], early[u][s])
-    for k in range(t):
-        for u in range(2):
-            # the walk stays inside the serving cell
-            x, y = forward[k][2 * u:2 * u + 2]
+    for k in range(t + 1):
+        # the walk stays inside the serving cell
+        for u, (x, y) in enumerate(env_a.positions(k)):
             site = env_a.layout.site(u)
             assert math.hypot(x - site.x, y - site.y) <= cfg.cell_radius_m + 1e-9
 
@@ -138,12 +155,11 @@ def test_prepared_links_match_direct_formula_bit_for_bit(link_draws, q, m, p_los
             fading = [link_draws[0:2], link_draws[2:4]]   # [ue][bs], drawn in that order
             kinds.update(f.los for f in link_draws)
             for k in range(env.t_steps):
-                pos = env.observe(k)[:4]
+                pos = env.positions(k + 1)
                 chans = env.channels(k)
-                for u in range(2):
+                for u, (x, y) in enumerate(pos):
                     for b, site in enumerate(env.layout.sites):
-                        ref = _reference_channel(model, fading[u][b], site,
-                                                 pos[2 * u], pos[2 * u + 1], m)
+                        ref = _reference_channel(model, fading[u][b], site, x, y, m)
                         assert np.array_equal(chans[u][b], ref)
     assert kinds == ({True, False} if p_los is None else {p_los == 1.0})
 
@@ -328,9 +344,11 @@ def test_convergence_and_best_episode_selection():
     complete = [e for e in eps if not e.aborted]
     if complete:
         assert best.total_reward == max(e.total_reward for e in complete)
-    rate, idx = sum_rate_summary(eps)
+    rate = sum_rate_summary(eps)
     if complete:
-        assert idx is not None and rate > 0.0
+        assert rate == max(radio.sum_rate(e.eff_sinr_pairs()) for e in complete) > 0.0
+    else:
+        assert rate is None
 
 
 def test_ccdf_grid_and_monotonicity():
@@ -459,7 +477,16 @@ def test_learning_engines_run_and_log_losses():
 def test_brute_force_engine_reaches_oracle_levels():
     cfg = NetworkConfig(q=1, engines=("brute_force",), m_list=(4,), episode_cap=1)
     run = run_experiment(cfg, 4, 2, "brute_force", stop_on_convergence=False)
-    step = run.episodes[0].steps[0]
+    episode = run.episodes[0]
     # the joint optimum in a race condition is both sites at full power
-    assert step.powers_dbm == (46.0, 46.0)
+    assert episode.steps[0].powers_dbm == (46.0, 46.0)
     assert summarize_run(cfg, run)["candidates_per_step"] == (4 * 4) ** 2
+    # the env scores each step's levels exactly as the oracle scored them
+    env = TwoCellEnv(cfg, 4, 2)
+    space = SearchSpace(power_grid_dbm=cfg.oracle_power_grid, codebook=env.codebook)
+    channels = replay_episode_channels(cfg, 4, 2, episode.index)
+    assert episode.n_steps > 1
+    for step in episode.steps:
+        res = brute_force(channels[step.t], space, cfg.q, env.code_map, env.noise_mw)
+        assert (step.powers_dbm, step.beams) == (res.powers_dbm, res.beams)
+        assert [g.hex() for g in step.eff_sinr_db] == [g.hex() for g in res.eff_sinrs_db]
