@@ -3,7 +3,7 @@
 from .config import ConfigError, NetworkConfig
 from .geometry import BsSite, Layout, associate, build_layout
 from .channel import (BeamCodebook, ChannelModel, PathLossModel, build_codebook,
-                      noise_power_dbm, path_loss_db, sample_channel, steering_vector)
+                      noise_power_dbm, steering_vector)
 from .radio import (CodeRateMap, JointCommand, apply_power_cmd, decode_action,
                     effective_sinr_db, encode_action, fpa_power_dbm, pcode,
                     reward_value, rx_power_mw, sinr_db, step_beam, sum_rate)

@@ -81,20 +81,11 @@ class QNetwork:
         h2 = _sigmoid(self.w2 @ h1 + self.b2)
         return self.w3 @ h2 + self.b3
 
-    def forward_batch(self, states: np.ndarray) -> np.ndarray:
-        return self._hidden(np.asarray(states, dtype=float))[2]
-
     def _hidden(self, states: np.ndarray) -> tuple:
         """(h1, h2, q) of a batch of states, one row per state."""
         h1 = _sigmoid(states @ self.w1.T + self.b1)
         h2 = _sigmoid(h1 @ self.w2.T + self.b2)
         return h1, h2, h2 @ self.w3.T + self.b3
-
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
-    def copy(self) -> "QNetwork":
-        return QNetwork(*[p.copy() for p in self.params()])
 
 
 def _views(flat: np.ndarray, like: list) -> list:
@@ -198,15 +189,15 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._count
 
-    def push(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray,
-             terminal: bool) -> None:
-        """Store one transition, evicting the oldest when full."""
+    def push(self, s: np.ndarray, a: int, r: float, s_next: np.ndarray | None) -> None:
+        """Store one transition, evicting the oldest when full.  A terminal
+        transition (``s_next`` None) stores a zero next state, not live."""
         i = self._head
         self.s[i] = s
         self.a[i] = a
         self.r[i] = r
-        self.s_next[i] = s_next
-        self.live[i] = not terminal
+        self.s_next[i] = 0.0 if s_next is None else s_next
+        self.live[i] = s_next is not None
         self._head = (i + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
 
@@ -234,11 +225,13 @@ class ReplayBuffer:
 # tabular learner
 
 
-def tabular_update(q_values: np.ndarray, s: int, a: int, r: float, s_next: int,
+def tabular_update(q_values: np.ndarray, s: int, a: int, r: float, s_next: int | None,
                    alpha: float, discount: float) -> np.ndarray:
-    """Q(s,a) := (1-alpha) Q(s,a) + alpha (r + discount * max_a' Q(s',a'))."""
-    q_values[s, a] = ((1.0 - alpha) * q_values[s, a]
-                      + alpha * (r + discount * float(q_values[s_next].max())))
+    """Q(s,a) := (1-alpha) Q(s,a) + alpha * target, where the target is r for
+    a terminal transition (``s_next`` None), else
+    r + discount * max_a' Q(s',a')."""
+    target = r if s_next is None else r + discount * float(q_values[s_next].max())
+    q_values[s, a] = (1.0 - alpha) * q_values[s, a] + alpha * target
     return q_values
 
 

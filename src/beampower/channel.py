@@ -185,18 +185,6 @@ def path_loss_terms(model: PathLossModel, los: bool = True) -> PathLossTerms:
     raise ValueError(f"unknown path loss model kind {model.kind!r}")
 
 
-def path_loss_db(model: PathLossModel, distance_m: float, los: bool = True,
-                 rng: np.random.Generator | None = None) -> float:
-    """Median path loss in dB, plus one log-normal shadowing draw if rng given."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    terms = path_loss_terms(model, los)
-    pl = terms.at(distance_m)
-    if rng is not None:
-        pl += rng.normal(0.0, terms.shadow_sigma_db)
-    return pl
-
-
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
     """Thermal noise power over the signal bandwidth: -174 dBm/Hz + 10log10(BW) + NF."""
     if bandwidth_hz <= 0:
@@ -363,10 +351,3 @@ def realize_channel(links: LinkSet, positions: Sequence) -> np.ndarray:
         h[links.los_rows] = links.los_gains * beams
     h *= np.array(scales)[:, None]
     return h
-
-
-def sample_channel(model: ChannelModel, site: BsSite, ue_x: float, ue_y: float,
-                   m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw fading and realise the (M,) channel in one go."""
-    link = prepare_link(model, draw_link_fading(model, rng), site, m)
-    return realize_channel(link_set(model, [link], m), [(ue_x, ue_y)])[0]

@@ -131,17 +131,21 @@ class NetworkConfig:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, pair[self.q])
         # list-ish fields become tuples, and an int given to a float field a
-        # float, so a config built in code serialises as its text form does
+        # float, so a config built in code serialises as its text form does;
+        # a NaN or an infinity is never a valid value
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(kind, tuple):
-                object.__setattr__(self, name, tuple(_as_kind(kind[0], v) for v in value))
+                object.__setattr__(self, name,
+                                   tuple(_as_kind(kind[0], v, name) for v in value))
             elif value is not None:
-                object.__setattr__(self, name, _as_kind(kind, value))
+                object.__setattr__(self, name, _as_kind(kind, value, name))
 
     def _validate(self):
-        if self.cell_radius_m <= 0:
-            raise ConfigError(f"cell_radius_m must be positive, got {self.cell_radius_m}")
+        # each check is written so that NaN fails it
+        for name in ("cell_radius_m", "carrier_mhz", "bs_height_m"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.intersite_factor < 2:
             # r > R/2 is required so neighbouring cells overlap and every
             # point of the plane between sites is covered
@@ -166,6 +170,13 @@ class NetworkConfig:
                 raise ConfigError(f"unknown engine {e!r}, expected one of {ALLOWED_ENGINES}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if not all(s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
+        if not self.meas_per_step >= 0:
+            raise ConfigError(f"meas_per_step must be >= 0, got {self.meas_per_step}")
+        if self.power_floor_dbm is not None and not self.power_floor_dbm <= self.max_power_dbm:
+            raise ConfigError(f"power_floor_dbm must be at most max_power_dbm, got "
+                              f"{self.power_floor_dbm} > {self.max_power_dbm}")
         if self.minibatch < 1:
             raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
         if self.replay_capacity < 1:
@@ -309,10 +320,14 @@ _FIELD_TYPES = {
 }
 
 
-def _as_kind(kind, value):
-    """``value`` as a float if a float field was given an int, else as is."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+def _as_kind(kind, value, key: str):
+    """``value`` as a float if a float field was given an int, else as is;
+    a float that is not finite raises ``ConfigError`` naming ``key``."""
+    if kind is float:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     return value
 
 

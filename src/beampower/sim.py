@@ -243,9 +243,6 @@ class TwoCellEnv:
         acts); see the module notes."""
         return self._state_at(k + 1)
 
-    def observe_next(self, k: int) -> np.ndarray:
-        return self._state_at(min(k + 2, self.t_steps))
-
     def channels(self, k: int):
         """channels[ue][bs] at step k, (M,) arrays realised in one batch from
         the episode's links."""
@@ -296,6 +293,12 @@ def replay_episode_channels(config: NetworkConfig, m: int, seed: int,
 # decision engines
 
 
+# An engine's ``act(env, k, s)`` returns the action register value it applies
+# at step k, or None when it sets the levels itself.  An engine that learns
+# defines ``learn(s, a, r, s_next)`` and ``finish_episode(bonus)``; only such
+# an engine is handed states, and ``s_next`` is None on a terminal step.
+
+
 class FpaEngine:
     """Fixed power allocation: constant per-PRB power share, no coordination."""
 
@@ -310,12 +313,6 @@ class FpaEngine:
 
     def act(self, env, k, s):
         return None
-
-    def learn(self, s, a, r, s_next, terminal):
-        return None
-
-    def finish_episode(self, bonus: float) -> None:
-        pass
 
 
 class BruteForceEngine:
@@ -335,12 +332,6 @@ class BruteForceEngine:
                           env.noise_mw, env.gamma_target_db)
         env.set_levels(res.powers_dbm, res.beams)
         return None
-
-    def learn(self, s, a, r, s_next, terminal):
-        return None
-
-    def finish_episode(self, bonus: float) -> None:
-        pass
 
 
 class DqnEngine:
@@ -363,8 +354,8 @@ class DqnEngine:
         decay_epsilon(self.policy)
         return select_action(self.net, s, self.policy, self.rng)
 
-    def learn(self, s, a, r, s_next, terminal):
-        self.buffer.push(s, a, r, s_next, terminal)
+    def learn(self, s, a, r, s_next):
+        self.buffer.push(s, a, r, s_next)
         if len(self.buffer) < self.n_mb:
             return None
         _, loss = sgd_step(self.net, *self.buffer.sample(self.n_mb, self.rng),
@@ -411,11 +402,11 @@ class TabularEngine:
         # tie-break would hard-wire one register until rewards arrive
         return int(self.rng.choice(best))
 
-    def learn(self, s, a, r, s_next, terminal):
+    def learn(self, s, a, r, s_next):
         s_idx = self._row(s)
         # look the rows up before the update: the next one may grow (replace)
         # table.values
-        s_next_idx = self._row(s_next)
+        s_next_idx = None if s_next is None else self._row(s_next)
         tabular_update(self.table.values, s_idx, a, r, s_next_idx,
                        self.alpha, self.policy.discount)
         self._last_update = (s_idx, a)
@@ -448,23 +439,22 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
     The episode aborts (with the reward overwritten by r_min) as soon as any
     UE's effective SINR falls below ``env.gamma_min_db``; if instead the
     final step meets ``env.gamma_target_db`` for every UE, r_max is added to
-    the final reward and patched into the engine's stored experience.
+    the final reward and patched into a learning engine's stored experience.
     """
     cfg = env.config
     t_steps = env.t_steps
     gamma_target, gamma_min = env.gamma_target_db, env.gamma_min_db
     episode_index = env.begin_episode()
     engine.begin_episode(env)
+    learns = hasattr(engine, "learn")
 
     log = []
     aborted = False
     all_meet = True
     decision_s = 0.0
     wall0 = time.perf_counter()
-    s_next = None
+    s = env.observe(0) if learns else None
     for k in range(t_steps):
-        # a continuing step's next state is the state the following step sees
-        s = env.observe(k) if k == 0 else s_next
         t0 = time.perf_counter()
         a = engine.act(env, k, s)
         decision_s += time.perf_counter() - t0
@@ -480,11 +470,15 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
         abort = min(eff_ell, eff_b) < gamma_min
         if abort:
             r = cfg.r_min
-        terminal = abort or k == t_steps - 1
-        s_next = env.observe_next(k)
-        t0 = time.perf_counter()
-        loss = engine.learn(s, a, r, s_next, terminal)
-        decision_s += time.perf_counter() - t0
+        loss = None
+        if learns:
+            # a continuing step's next state is the state the next step acts
+            # on; a terminal step has none
+            s_next = None if abort or k == t_steps - 1 else env.observe(k + 1)
+            t0 = time.perf_counter()
+            loss = engine.learn(s, a, r, s_next)
+            decision_s += time.perf_counter() - t0
+            s = s_next
         powers, beams = env.powers_dbm, env.beams
         log += (_NO_ACTION if a is None else a, r, g_ell, g_b, eff_ell, eff_b,
                 powers[IDX_ELL], powers[IDX_B], beams[IDX_ELL], beams[IDX_B],
@@ -498,7 +492,8 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
     # a frame has at least one step, and one that did not abort ran them all
     if not aborted and min(eff_ell, eff_b) >= gamma_target:
         log[_REWARD - LOG_WIDTH] += cfg.r_max
-        engine.finish_episode(cfg.r_max)
+        if learns:
+            engine.finish_episode(cfg.r_max)
 
     return EpisodeResult(index=episode_index, log=array("d", log),
                          converged=not aborted and all_meet, aborted=aborted,
@@ -508,14 +503,29 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
 
 @dataclass
 class RunResult:
+    """A run's episodes; its totals derive from them."""
+
     engine: str
     m: int
     seed: int
     episodes: list
-    zeta: int | None             # 1-based first converged episode
-    wall_time_s: float
-    decision_time_s: float
-    steps_total: int
+
+    @property
+    def zeta(self) -> int | None:
+        """1-based index of the first converged episode."""
+        return convergence_episode(self.episodes)
+
+    @property
+    def steps_total(self) -> int:
+        return sum(e.n_steps for e in self.episodes)
+
+    @property
+    def wall_time_s(self) -> float:
+        return sum(e.wall_time_s for e in self.episodes)
+
+    @property
+    def decision_time_s(self) -> float:
+        return sum(e.decision_time_s for e in self.episodes)
 
 
 def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
@@ -541,12 +551,7 @@ def run_experiment(config: NetworkConfig, m: int, seed: int, engine_name: str,
             episodes.append(res)
             if stop_on_convergence and res.converged:
                 break
-    zeta = convergence_episode(episodes)
-    return RunResult(engine=engine_name, m=m, seed=seed, episodes=episodes,
-                     zeta=zeta,
-                     wall_time_s=sum(e.wall_time_s for e in episodes),
-                     decision_time_s=sum(e.decision_time_s for e in episodes),
-                     steps_total=sum(e.n_steps for e in episodes))
+    return RunResult(engine=engine_name, m=m, seed=seed, episodes=episodes)
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +764,7 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
         episodes.append(EpisodeResult(index=idx, log=log, converged=converged,
                                       aborted=aborted, wall_time_s=0.0,
                                       decision_time_s=0.0))
-    return config, RunResult(engine=key[0], m=m, seed=seed, episodes=episodes,
-                             zeta=convergence_episode(episodes), wall_time_s=0.0,
-                             decision_time_s=0.0,
-                             steps_total=sum(e.n_steps for e in episodes))
+    return config, RunResult(engine=key[0], m=m, seed=seed, episodes=episodes)
 
 
 def summarize_run(config: NetworkConfig, run: RunResult) -> dict:

@@ -15,7 +15,7 @@ import pytest
 from beampower import cli
 from beampower.agents import QNetwork, sgd_step, tabular_update
 from beampower.channel import (ChannelModel, build_codebook, noise_power_dbm,
-                               sample_channel, steering_vector)
+                               steering_vector)
 from beampower.config import NetworkConfig
 from beampower.geometry import build_layout
 from beampower.oracle import SearchSpace, brute_force
@@ -25,6 +25,7 @@ from beampower.radio import (CodeRateMap, apply_power_cmd, db_to_lin,
 from beampower.sim import (N_CELLS, TIMING_COLUMNS, TwoCellEnv,
                            best_complete_episode, ccdf, read_summary,
                            replay_episode_channels, run_experiment)
+from channel_draws import sample_channel
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -318,19 +319,16 @@ def test_acceptance_property_suite():
     targets = np.array([r for _, _, r in rows])
 
     def loss_at(theta_flat):
-        probe = net.copy()
-        off = 0
-        for arr in probe.params():
-            arr.flat[:] = theta_flat[off:off + arr.size]
-            off += arr.size
-        q = probe.forward_batch(states)[np.arange(32), actions]
+        probe = QNetwork(net.w1, net.b1, net.w2, net.b2, net.w3, net.b3)
+        probe.theta[:] = theta_flat
+        q = probe._hidden(states)[2][np.arange(32), actions]
         return float(np.mean((targets - q) ** 2))
 
-    flat = np.concatenate([p.ravel() for p in net.params()])
-    trained = net.copy()
+    flat = net.theta.copy()
+    trained = QNetwork(net.w1, net.b1, net.w2, net.b2, net.w3, net.b3)
     sgd_step(trained, states, actions, targets, np.zeros((32, 8)),
              np.zeros(32, dtype=bool), discount=0.995, eta=1.0)
-    flat_after = np.concatenate([p.ravel() for p in trained.params()])
+    flat_after = trained.theta.copy()
     grad = flat - flat_after          # eta = 1, plain SGD
     idx = rng.choice(flat.size, size=25, replace=False)
     ok = True

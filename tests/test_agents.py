@@ -24,6 +24,10 @@ def _net(seed=0) -> QNetwork:
     return QNetwork.initialize(np.random.default_rng(seed))
 
 
+def _params(net: QNetwork) -> list:
+    return [net.w1, net.b1, net.w2, net.b2, net.w3, net.b3]
+
+
 def _flat_net(out: np.ndarray) -> QNetwork:
     """All-zero weights so the forward pass returns exactly ``out``."""
     n = len(out)
@@ -49,7 +53,7 @@ def test_forward_shapes():
     net = _net()
     q = net.forward(np.zeros(8))
     assert q.shape == (16,)
-    batch = net.forward_batch(np.zeros((5, 8)))
+    batch = net._hidden(np.zeros((5, 8)))[2]
     assert batch.shape == (5, 16)
     assert batch[0] == pytest.approx(q)
     with pytest.raises(ValueError):
@@ -88,7 +92,7 @@ def _random_batch(rng, n=32):
 
 def _batch_loss(net, batch, targets):
     states, actions = batch[0], batch[1]
-    q = net.forward_batch(states)
+    q = net._hidden(states)[2]
     picked = q[np.arange(len(actions)), actions]
     return float(np.mean((targets - picked) ** 2))
 
@@ -103,9 +107,9 @@ def test_sgd_step_matches_central_differences():
     targets = np.array([bellman_target(r, s_next, not lv, net, 0.9)
                         for r, s_next, lv in zip(rewards, next_states, live)])
     eta = 1e-3
-    before = [p.copy() for p in net.params()]
+    before = [p.copy() for p in _params(net)]
     updated, _ = sgd_step(net, *batch, 0.9, eta)
-    grads = [(b - a) / eta for b, a in zip(before, updated.params())]
+    grads = [(b - a) / eta for b, a in zip(before, _params(updated))]
 
     probe = np.random.default_rng(3)
     for p_idx, (param, grad) in enumerate(zip(before, grads)):
@@ -113,9 +117,9 @@ def test_sgd_step_matches_central_differences():
         for k in probe.choice(flat.size, size=min(6, flat.size), replace=False):
             h = 1e-6
             trial = QNetwork(*[p.copy() for p in before])
-            trial.params()[p_idx].reshape(-1)[k] = flat[k] + h
+            _params(trial)[p_idx].reshape(-1)[k] = flat[k] + h
             up = _batch_loss(trial, batch, targets)
-            trial.params()[p_idx].reshape(-1)[k] = flat[k] - h
+            _params(trial)[p_idx].reshape(-1)[k] = flat[k] - h
             down = _batch_loss(trial, batch, targets)
             fd = (up - down) / (2 * h)
             g = grad.reshape(-1)[k]
@@ -161,19 +165,19 @@ def test_stacked_sgd_step_matches_two_forward_passes_bit_for_bit():
         batch = _random_batch(rng, n)
         discount, eta = float(rng.uniform(0.5, 1.0)), float(10.0 ** rng.uniform(-4, -1))
         for _ in range(3):
-            want, want_loss = _sgd_two_passes(net.params(), *batch, discount, eta)
+            want, want_loss = _sgd_two_passes(_params(net), *batch, discount, eta)
             _, loss = sgd_step(net, *batch, discount, eta)
             assert loss == want_loss
-            for got, ref in zip(net.params(), want):
+            for got, ref in zip(_params(net), want):
                 assert np.array_equal(got, ref)
 
 
 def test_parameters_are_views_of_the_flat_arrays():
     net = _net(3)
-    assert sum(p.size for p in net.params()) == net.theta.size == net.grad.size
-    for p in net.params():
+    assert sum(p.size for p in _params(net)) == net.theta.size == net.grad.size
+    for p in _params(net):
         assert np.shares_memory(p, net.theta)
-    clone = net.copy()
+    clone = QNetwork(*_params(net))
     clone.w2[0, 0] += 1.0
     assert clone.theta[net.w1.size + net.b1.size] == net.w2[0, 0] + 1.0
     assert not np.shares_memory(clone.theta, net.theta)
@@ -202,7 +206,7 @@ def test_sgd_step_raises_on_divergence():
 def test_replay_buffer_eviction_and_sampling():
     buf = ReplayBuffer(5)
     for i in range(8):
-        buf.push(np.full(8, i), i, float(i), np.full(8, -i), False)
+        buf.push(np.full(8, i), i, float(i), np.full(8, -i))
     assert len(buf) == 5
     s, a, r, s_next, live = buf.sample(5, np.random.default_rng(0))
     assert set(a) == {3, 4, 5, 6, 7}  # oldest three evicted
@@ -218,12 +222,22 @@ def test_replay_buffer_eviction_and_sampling():
 
 def test_replay_buffer_reward_patch():
     buf = ReplayBuffer(4)
-    buf.push(np.zeros(8), 0, 1.0, np.zeros(8), False)
-    buf.push(np.zeros(8), 1, 2.0, np.zeros(8), True)
+    buf.push(np.zeros(8), 0, 1.0, np.zeros(8))
+    buf.push(np.zeros(8), 1, 2.0, None)
     buf.adjust_last_reward(10.0)
     _, a, r, _, live = buf.sample(2, np.random.default_rng(0))
     assert sorted(zip(a.tolist(), r.tolist(), live.tolist())) == [
         (0, 1.0, True), (1, 12.0, False)]
+
+
+def test_replay_buffer_terminal_row_stores_a_zero_next_state():
+    # the slot held a live row first, so nothing of it may survive
+    buf = ReplayBuffer(1)
+    buf.push(np.ones(8), 0, 1.0, np.full(8, 3.0))
+    buf.push(np.ones(8), 1, 2.0, None)
+    _, a, r, s_next, live = buf.sample(1, np.random.default_rng(0))
+    assert (a.tolist(), r.tolist(), live.tolist()) == ([1], [2.0], [False])
+    assert np.array_equal(s_next, np.zeros((1, 8)))
 
 
 @pytest.mark.parametrize("n_push", [19, 21])
@@ -236,13 +250,13 @@ def test_replay_buffer_wraps_like_an_oldest_first_deque(n_push):
     buf = ReplayBuffer(7)
     ref = deque(maxlen=7)
     for i in range(n_push):
-        row = (rng.normal(size=8), i, float(rng.normal()), rng.normal(size=8),
-               i % 3 == 0)
+        row = (rng.normal(size=8), i, float(rng.normal()),
+               None if i % 3 == 0 else rng.normal(size=8))
         buf.push(*row)
         ref.append(row)
     buf.adjust_last_reward(5.0)
-    s, a, r, s_next, terminal = ref[-1]
-    ref[-1] = (s, a, r + 5.0, s_next, terminal)
+    s, a, r, s_next = ref[-1]
+    ref[-1] = (s, a, r + 5.0, s_next)
     for seed, n in ((0, 7), (1, 4), (2, 4), (3, 1)):
         got = buf.sample(n, np.random.default_rng(seed))
         idx = np.random.default_rng(seed).choice(len(ref), size=n, replace=False)
@@ -250,8 +264,9 @@ def test_replay_buffer_wraps_like_an_oldest_first_deque(n_push):
         assert np.array_equal(got[0], np.stack([w[0] for w in want]))
         assert got[1].tolist() == [w[1] for w in want]
         assert got[2].tolist() == [w[2] for w in want]
-        assert np.array_equal(got[3], np.stack([w[3] for w in want]))
-        assert got[4].tolist() == [not w[4] for w in want]
+        assert np.array_equal(got[3], np.stack([np.zeros(8) if w[3] is None else w[3]
+                                                for w in want]))
+        assert got[4].tolist() == [w[3] is not None for w in want]
 
 
 def test_epsilon_decay_floor():
@@ -341,6 +356,14 @@ def test_tabular_update_known_value():
     q[2, :] = (1.0, 0.5)
     tabular_update(q, 1, 0, 4.0, 2, alpha=0.2, discount=0.5)
     assert q[1, 0] == pytest.approx(3.3)  # 0.8*3 + 0.2*(4 + 0.5*1)
+
+
+def test_tabular_update_terminal_takes_the_reward_alone():
+    # no bootstrap from any row, though every other row is non-zero
+    q = np.full((4, 2), 9.0)
+    q[1, 0] = 3.0
+    tabular_update(q, 1, 0, 4.0, None, alpha=0.2, discount=0.5)
+    assert q[1, 0] == 0.8 * 3.0 + 0.2 * 4.0
 
 
 def test_tabular_learning_reaches_value_iteration_fixed_point():

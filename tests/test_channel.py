@@ -15,16 +15,15 @@ from beampower.channel import (
     draw_link_fading,
     link_set,
     noise_power_dbm,
-    path_loss_db,
     path_loss_terms,
     prepare_link,
     realize_channel,
-    sample_channel,
     steering_vector,
 )
 from beampower.config import NetworkConfig
 from beampower.geometry import BsSite
 from beampower.sim import TwoCellEnv
+from channel_draws import sample_channel
 
 
 def test_steering_unit_norm():
@@ -70,35 +69,35 @@ def test_codebook_layout():
 def test_close_in_path_loss_values():
     model = PathLossModel.close_in()
     # 1 m intercept at 28 GHz
-    assert path_loss_db(model, 1.0) == pytest.approx(61.3432, abs=1e-3)
-    assert path_loss_db(model, 100.0) == pytest.approx(101.3432, abs=1e-3)
+    assert path_loss_terms(model).at(1.0) == pytest.approx(61.3432, abs=1e-3)
+    assert path_loss_terms(model).at(100.0) == pytest.approx(101.3432, abs=1e-3)
     # blocked path decays three exponents per decade
-    assert path_loss_db(model, 100.0, los=False) == pytest.approx(121.3432, abs=1e-3)
+    assert path_loss_terms(model, los=False).at(100.0) == pytest.approx(121.3432, abs=1e-3)
 
 
 def test_cost231_path_loss_value():
     model = PathLossModel.cost231()
     # urban value at 1 km, 2100 MHz, 30 m mast, 1.5 m handset
-    assert path_loss_db(model, 1000.0) == pytest.approx(141.4604, abs=1e-3)
+    assert path_loss_terms(model).at(1000.0) == pytest.approx(141.4604, abs=1e-3)
 
 
 def test_path_loss_monotone_and_guarded():
     model = PathLossModel.close_in()
     d = np.linspace(1.0, 300.0, 50)
-    pl = [path_loss_db(model, x) for x in d]
+    pl = [path_loss_terms(model).at(x) for x in d]
     assert all(b > a for a, b in zip(pl, pl[1:]))
     with pytest.raises(ValueError):
-        path_loss_db(model, 0.0)
+        path_loss_terms(model).at(0.0)
 
 
 def test_shadowing_only_with_rng():
-    model = PathLossModel.close_in()
-    base = path_loss_db(model, 50.0)
+    # the median path loss is deterministic; shadowing is a per-link fading draw
+    model = ChannelModel(path_loss=PathLossModel.close_in(), p_los=1.0, n_paths_nlos=4)
+    base = path_loss_terms(model.path_loss).at(50.0)
     rng = np.random.default_rng(0)
-    jittered = [path_loss_db(model, 50.0, rng=rng) for _ in range(200)]
-    spread = np.std([j - base for j in jittered])
-    assert 2.0 < spread < 6.0  # 4 dB log-normal
-    assert path_loss_db(model, 50.0) == base
+    shadows = [draw_link_fading(model, rng).shadow_db for _ in range(200)]
+    assert 2.0 < np.std(shadows) < 6.0  # 4 dB log-normal
+    assert path_loss_terms(model.path_loss).at(50.0) == base
 
 
 def test_noise_power_values():
@@ -161,7 +160,7 @@ def test_channel_power_tracks_amplitude_ratio():
     for _ in range(4000):
         fad = draw_link_fading(model, rng)
         ch = _realize_one(model, fad, site, 8, 80.0, 35.0)
-        pl_eff = (path_loss_db(model.path_loss, math.hypot(80.0, 35.0), fad.los)
+        pl_eff = (path_loss_terms(model.path_loss, fad.los).at(math.hypot(80.0, 35.0))
                   + fad.shadow_db - model.tx_gain_dbi - model.ue_gain_dbi)
         rho = 10.0 ** (pl_eff / 20.0)
         vals.append(float(np.vdot(ch, ch).real) * rho**2 / 8.0)

@@ -2,12 +2,13 @@
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
 
 from beampower import cli
-from beampower.config import _FIELD_TYPES, NetworkConfig
+from beampower.config import _FIELD_TYPES, ConfigError, NetworkConfig
 from beampower.sim import run_experiment, trace_rows
 
 SRC = Path(cli.__file__).resolve().parent
@@ -99,6 +100,28 @@ def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
     assert rc == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _not_finite(key, value):
+    return key, (value,) if isinstance(_FIELD_TYPES[key], tuple) else value
+
+
+@pytest.mark.parametrize("key, value", [
+    # a NaN or an infinity in any float key: cell_radius_m = nan hung the drop
+    # loop, max_power_dbm = inf failed the tabular job part way
+    *(_not_finite(key, value) for key, kind in _FIELD_TYPES.items()
+      if kind in (float, (float,)) for value in (math.nan, math.inf, -math.inf)),
+    # math domain errors part way through a run
+    ("carrier_mhz", 0.0), ("carrier_mhz", -2100.0), ("bs_height_m", 0.0),
+    # a seed numpy rejects part way through a run
+    ("seeds", (1, -1)),
+    # accepted, with a negative backhaul count or a floor above the ceiling
+    ("meas_per_step", -1), ("power_floor_dbm", 50.0),
+])
+def test_invalid_setting_is_a_config_error_naming_the_key(key, value):
+    # built in code only, so a gap fails here rather than hanging a run
+    with pytest.raises(ConfigError, match=key):
+        NetworkConfig(q=0, **{key: value})
 
 
 def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):

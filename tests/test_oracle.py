@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from beampower.channel import ChannelModel, build_codebook, noise_power_dbm, sample_channel
+from beampower.channel import ChannelModel, build_codebook, noise_power_dbm
 from beampower.config import NetworkConfig
 from beampower.geometry import build_layout
 from beampower.oracle import SearchSpace, brute_force
 from beampower.radio import CodeRateMap, db_to_lin, effective_sinr_db, sinr_db
+from channel_draws import sample_channel
 
 
 def _random_channels(rng, m, cfg):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from beampower import radio, sim
-from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_loss_db,
-                               path_loss_terms, steering_vector)
+from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_loss_terms,
+                               steering_vector)
 from beampower.config import ConfigError, NetworkConfig
 from beampower.geometry import build_layout
 from beampower.oracle import SearchSpace, brute_force
@@ -76,8 +76,8 @@ def test_observe_normalises_the_state_hand_case(monkeypatch):
     env.set_levels((46.0, 6.0), (0, 3))
     want = [0.1, -0.2, 0.1, 0.2, 0.0, -1.0, -0.75, 0.75]
     assert env.observe(0) == pytest.approx(want)
-    assert env.observe_next(env.t_steps - 1) == pytest.approx(want)
-    # the state after move k + 1; the last step's next state repeats the last
+    assert env.observe(env.t_steps - 1) == pytest.approx(want)
+    # the state after move k + 1
     assert asked == [1, env.t_steps]
 
 
@@ -91,9 +91,9 @@ def test_walk_does_not_depend_on_read_order():
     env_b.begin_episode(1)
     t = cfg.frame_steps
     forward = [env_a.observe(k) for k in range(t)]
-    last_first = env_b.observe_next(t - 1)
+    last_first = env_b.observe(t - 1)
     backward = {k: env_b.observe(k) for k in reversed(range(t))}
-    assert np.array_equal(last_first, env_a.observe_next(t - 1))
+    assert np.array_equal(last_first, forward[t - 1])
     for k in range(t):
         assert np.array_equal(forward[k], backward[k])
     env_c = TwoCellEnv(cfg, 4, 7)
@@ -127,7 +127,7 @@ def link_draws(monkeypatch):
 def _reference_channel(model, fading, site, x, y, m):
     # the direct per-step formula that prepared links replace
     d = math.hypot(x - site.x, y - site.y)
-    pl_eff = (path_loss_db(model.path_loss, d, fading.los) + fading.shadow_db
+    pl_eff = (_reference_path_loss_db(model.path_loss, d, fading.los) + fading.shadow_db
               - model.tx_gain_dbi - model.ue_gain_dbi)
     rho = 10.0 ** (pl_eff / 20.0)
     aods = np.array([bearing(site, x, y)]) if fading.los else fading.aods
@@ -184,7 +184,6 @@ def test_path_loss_split_is_exact(q):
         for d in np.logspace(-1.0, 4.0, 151).tolist():
             ref = _reference_path_loss_db(model, d, los)
             assert terms.at(d) == ref
-            assert path_loss_db(model, d, los) == ref
 
 
 def _token(v) -> str:
@@ -304,7 +303,8 @@ def test_replay_matches_live_channels():
 
 
 def test_vacuous_thresholds_always_converge():
-    cfg = _voice_cfg(gamma_target_voice_db=-math.inf, gamma_min_db=-math.inf)
+    # an infinite threshold is not a valid setting; no SINR is this low
+    cfg = _voice_cfg(gamma_target_voice_db=-1e9, gamma_min_db=-1e9)
     env = TwoCellEnv(cfg, 1, 1)
     eng = make_engine("fpa", cfg, env, 1)
     res = run_episode(env, eng)
@@ -323,6 +323,67 @@ def test_impossible_floor_aborts_first_step():
     assert len(res.steps) == 1
     assert res.steps[0].reward == cfg.r_min
     assert min(res.steps[-1].eff_sinr_db) < 1e9
+
+
+@pytest.mark.parametrize("floor_db, frame_steps, bonus", [
+    (1e9, 20, False),      # the first step aborts
+    (-1e9, 1, True),       # the first step ends the frame and earns r_max
+])
+def test_tabular_terminal_step_targets_the_reward_alone(monkeypatch, floor_db,
+                                                        frame_steps, bonus):
+    # every state's row starts at c, so bootstrapping from a next state would
+    # show in the updated value
+    cfg = _voice_cfg(engines=("tabular",), gamma_min_db=floor_db,
+                     gamma_target_voice_db=-1e9, frame_steps=frame_steps)
+    env = TwoCellEnv(cfg, 1, 4)
+    eng = make_engine("tabular", cfg, env, 4)
+    table, c = eng.table, 7.0
+    fresh_row = table.row
+
+    def row(state):
+        new = state not in table.rows
+        idx = fresh_row(state)
+        if new:
+            table.values[idx] = c
+        return idx
+
+    acted = []
+    act = eng.act
+    monkeypatch.setattr(table, "row", row)
+    monkeypatch.setattr(eng, "act", lambda env, k, s: acted.append(s) or act(env, k, s))
+    res = run_episode(env, eng)
+    assert res.n_steps == 1 and res.aborted is not bonus
+    a = int(res.log[0])
+    r = cfg.r_min if res.aborted else radio.reward_value(a, 0.0, 0.0, 0)
+    want = (1 - cfg.tabular_alpha) * c + cfg.tabular_alpha * r
+    if bonus:
+        want += cfg.tabular_alpha * cfg.r_max
+    assert table.values[table.rows[table.state_index(acted[0])], a] == want
+
+
+@pytest.mark.parametrize("engine", ["dqn", "tabular", "fpa", "brute_force"])
+@pytest.mark.parametrize("floor_db", [None, -1e9])
+def test_run_episode_reads_no_state_past_a_terminal_step(monkeypatch, engine, floor_db):
+    # a learner observes the state of each step it acts on and nothing else;
+    # fpa and brute_force observe nothing; every step walks its own move only
+    extra = {} if floor_db is None else {"gamma_min_db": floor_db}
+    cfg = NetworkConfig(q=1, m_list=(4,), engines=(engine,), **extra)
+    env = TwoCellEnv(cfg, 4, 5)
+    eng = make_engine(engine, cfg, env, 5)
+    observed, moves = [], []
+    observe, reflect = env.observe, sim.reflect_into_cell
+    monkeypatch.setattr(env, "observe", lambda k: observed.append(k) or observe(k))
+    monkeypatch.setattr(sim, "reflect_into_cell",
+                        lambda *args: moves.append(1) or reflect(*args))
+    aborted = 0
+    for _ in range(12):
+        del observed[:], moves[:]
+        res = run_episode(env, eng)
+        aborted += res.aborted
+        learns = engine in ("dqn", "tabular")
+        assert observed == (list(range(res.n_steps)) if learns else [])
+        assert len(moves) == sim.N_CELLS * res.n_steps
+    assert aborted if floor_db is None else not aborted
 
 
 def test_run_experiment_rejects_foreign_codebook_size():
