@@ -2,8 +2,8 @@
 
 from .config import ConfigError, NetworkConfig
 from .geometry import BsSite, Layout, associate, build_layout
-from .channel import (BeamCodebook, ChannelModel, PathLossModel, build_codebook,
-                      noise_power_dbm, steering_vector)
+from .channel import (BeamCodebook, ChannelModel, build_codebook, noise_power_dbm,
+                      steering_vector)
 from .radio import (CodeRateMap, JointCommand, apply_power_cmd, decode_action,
                     effective_sinr_db, encode_action, fpa_power_dbm, pcode,
                     reward_value, rx_power_mw, sinr_db, step_beam, sum_rate)
@@ -12,7 +12,7 @@ from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverg
 from .oracle import BruteForceResult, SearchSpace, brute_force
 from .sim import (EpisodeResult, RunResult, StepRecord, TwoCellEnv, ccdf,
                   convergence_episode, best_complete_episode, make_engine,
-                  replay_episode_channels, run_episode, run_experiment,
-                  sum_rate_summary, summarize_run, throughput_and_frame_loss)
+                  run_episode, run_experiment, sum_rate_summary, summarize_run,
+                  throughput_and_frame_loss)
 
 __version__ = "0.1.0"

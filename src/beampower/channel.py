@@ -11,15 +11,15 @@ amplitude path-loss ratio rho (rho**2 is the linear power loss, antenna
 gains folded in), so that E[||h||^2] = M / rho**2.  A channel is a plain
 (M,) complex array.
 
-A link's random state is drawn once per episode (``draw_link_fading``) and
-folded with everything else that does not depend on the UE position into a
-``PreparedLink``: the path-loss constants, the shadowing, and for an NLOS
-link the whole small-scale sum over its fixed paths.  The links of an
-episode form a ``LinkSet``, and ``realize_channel`` realises all of them at
-once for the current UE positions: per link, the distance term of the path
-loss, and for the LOS links one shared exponential of their steering
-phases.  Every float is computed in the same order as the direct formula,
-so a prepared link gives bit-identical channels.
+A link's random state is drawn once per episode (``draw_link_fading``).
+``link_set`` folds an episode's draws into one table, a row per link, of
+everything that does not depend on the UE position: the site, the LOS flag,
+the path-loss constants, the shadowing, and for an NLOS link the whole
+small-scale sum over its fixed paths.  ``realize_channel`` realises every
+row at once for the current UE positions: per link, the distance term of
+the path loss, and for the LOS links one shared exponential of their
+steering phases.  Every float is computed in the same order as the direct
+formula, so the table gives bit-identical channels.
 """
 
 from __future__ import annotations
@@ -104,47 +104,6 @@ def build_codebook(m: int, d_over_lambda: float = 0.5,
 # path loss
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    """Either COST231-Hata (sub-6, urban) or a close-in model (mmWave)."""
-
-    kind: str                   # "cost231" or "close_in"
-    carrier_mhz: float
-    exp_los: float = 2.0
-    exp_nlos: float = 3.0
-    shadow_los_db: float = 4.0
-    shadow_nlos_db: float = 8.0
-    bs_height_m: float = 30.0
-    ue_height_m: float = 1.5
-    urban_correction_db: float = 3.0
-
-    @classmethod
-    def cost231(cls, carrier_mhz: float = 2100.0, bs_height_m: float = 30.0,
-                ue_height_m: float = 1.5, shadow_db: float = 8.0,
-                urban_correction_db: float = 3.0) -> "PathLossModel":
-        return cls(kind="cost231", carrier_mhz=carrier_mhz,
-                   shadow_los_db=shadow_db, shadow_nlos_db=shadow_db,
-                   bs_height_m=bs_height_m, ue_height_m=ue_height_m,
-                   urban_correction_db=urban_correction_db)
-
-    @classmethod
-    def close_in(cls, carrier_mhz: float = 28000.0, exp_los: float = 2.0,
-                 exp_nlos: float = 3.0, shadow_los_db: float = 4.0,
-                 shadow_nlos_db: float = 8.0) -> "PathLossModel":
-        return cls(kind="close_in", carrier_mhz=carrier_mhz, exp_los=exp_los,
-                   exp_nlos=exp_nlos, shadow_los_db=shadow_los_db,
-                   shadow_nlos_db=shadow_nlos_db)
-
-    @classmethod
-    def from_config(cls, config: NetworkConfig) -> "PathLossModel":
-        if config.q == 0:
-            return cls.cost231(config.carrier_mhz, config.bs_height_m,
-                               config.ue_height_m, config.cost231_shadow_db,
-                               config.cost231_correction_db)
-        return cls.close_in(config.carrier_mhz, config.ci_exp_los, config.ci_exp_nlos,
-                            config.ci_shadow_los_db, config.ci_shadow_nlos_db)
-
-
 class PathLossTerms(NamedTuple):
     """A path-loss model split into constants and one distance term:
 
@@ -164,25 +123,23 @@ class PathLossTerms(NamedTuple):
                 + self.offset_db)
 
 
-def path_loss_terms(model: PathLossModel, los: bool = True) -> PathLossTerms:
-    """The distance-free constants of the model.
+def path_loss_terms(config: NetworkConfig, los: bool = True) -> PathLossTerms:
+    """The distance-free constants of the bearer's path-loss model.
 
-    close_in:  PL = 32.4 + 20*log10(f_GHz) + 10*n*log10(d/1m)
-    cost231:   urban Hata extension with the standard mobile-height correction
+    q=1, close-in:  PL = 32.4 + 20*log10(f_GHz) + 10*n*log10(d/1m)
+    q=0, COST231:   urban Hata extension with the standard mobile-height correction
     """
-    if model.kind == "close_in":
-        n = model.exp_los if los else model.exp_nlos
-        f_ghz = model.carrier_mhz / 1e3
-        sigma = model.shadow_los_db if los else model.shadow_nlos_db
+    if config.q == 1:
+        n = config.ci_exp_los if los else config.ci_exp_nlos
+        f_ghz = config.carrier_mhz / 1e3
+        sigma = config.ci_shadow_los_db if los else config.ci_shadow_nlos_db
         return PathLossTerms(32.4 + 20.0 * math.log10(f_ghz), 10.0 * n, 1.0, 0.0, sigma)
-    if model.kind == "cost231":
-        f = model.carrier_mhz
-        hb, hm = model.bs_height_m, model.ue_height_m
-        a_hm = (1.1 * math.log10(f) - 0.7) * hm - (1.56 * math.log10(f) - 0.8)
-        return PathLossTerms(46.3 + 33.9 * math.log10(f) - 13.82 * math.log10(hb) - a_hm,
-                             44.9 - 6.55 * math.log10(hb), 1e3,
-                             model.urban_correction_db, model.shadow_los_db)
-    raise ValueError(f"unknown path loss model kind {model.kind!r}")
+    f = config.carrier_mhz
+    hb, hm = config.bs_height_m, config.ue_height_m
+    a_hm = (1.1 * math.log10(f) - 0.7) * hm - (1.56 * math.log10(f) - 0.8)
+    return PathLossTerms(46.3 + 33.9 * math.log10(f) - 13.82 * math.log10(hb) - a_hm,
+                         44.9 - 6.55 * math.log10(hb), 1e3,
+                         config.cost231_correction_db, config.cost231_shadow_db)
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
@@ -200,24 +157,19 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
 class ChannelModel:
     """Everything needed to draw a link realisation."""
 
-    path_loss: PathLossModel
+    loss_terms: tuple                # (NLOS, LOS) PathLossTerms: loss_terms[los]
     p_los: float
     n_paths_nlos: int
-    d_over_lambda: float = 0.5
-    tx_gain_dbi: float = 0.0
-    ue_gain_dbi: float = 0.0
+    d_over_lambda: float
+    tx_gain_dbi: float
+    ue_gain_dbi: float
 
     @classmethod
     def from_config(cls, config: NetworkConfig) -> "ChannelModel":
-        return cls(path_loss=PathLossModel.from_config(config),
+        return cls(loss_terms=(path_loss_terms(config, False), path_loss_terms(config, True)),
                    p_los=config.p_los, n_paths_nlos=config.n_paths_nlos,
                    d_over_lambda=config.d_over_lambda,
                    tx_gain_dbi=config.tx_gain_dbi, ue_gain_dbi=config.ue_gain_dbi)
-
-    @cached_property
-    def loss_terms(self) -> tuple[PathLossTerms, PathLossTerms]:
-        """The (NLOS, LOS) path-loss terms, so ``loss_terms[los]`` picks one."""
-        return path_loss_terms(self.path_loss, False), path_loss_terms(self.path_loss, True)
 
 
 class LinkFading(NamedTuple):
@@ -233,31 +185,20 @@ class LinkFading(NamedTuple):
     shadow_db: float
 
 
-class PreparedLink(NamedTuple):
-    """One BS->UE link with its per-episode constants.
-
-    ``h_nlos`` is the small-scale sum over an NLOS link's fixed paths before
-    path loss; a LOS link keeps its single gain and takes the angle from the
-    UE position at every step.
-    """
-
-    site: BsSite
-    los: bool
-    loss: PathLossTerms
-    shadow_db: float
-    los_gain: complex | None         # LOS only
-    h_nlos: np.ndarray | None        # (M,) complex, NLOS only
-
-
 class LinkSet(NamedTuple):
     """Links realised together at every step, one channel row each.
 
-    ``small`` holds each NLOS row's path sum; the rows ``los_rows`` are
-    filled in at each step, from one exponential shared by every LOS link,
-    scaled by their gains ``los_gains`` (a column).
+    Row i's site, LOS flag, path-loss terms and shadowing are entry i of
+    ``sites``, ``los``, ``loss`` and ``shadow_db``.  ``small`` holds each
+    NLOS row's path sum; the rows ``los_rows`` are filled in at each step,
+    from one exponential shared by every LOS link, scaled by their gains
+    ``los_gains`` (a column).
     """
 
-    links: tuple                     # PreparedLink per row
+    sites: tuple                     # BsSite per row
+    los: tuple                       # bool per row
+    loss: tuple                      # PathLossTerms per row
+    shadow_db: tuple                 # float per row
     los_rows: np.ndarray             # (L,) row indices
     los_gains: np.ndarray            # (L, 1) complex
     small: np.ndarray                # (n, M) complex
@@ -273,7 +214,7 @@ def draw_link_fading(model: ChannelModel, rng: np.random.Generator) -> LinkFadin
     # numbers through the same arithmetic, loc + scale * z and
     # low + (high - low) * u, only with more call overhead
     los = bool(rng.random() < model.p_los)
-    sigma = model.path_loss.shadow_los_db if los else model.path_loss.shadow_nlos_db
+    sigma = model.loss_terms[los].shadow_sigma_db
     shadow = 0.0 + sigma * rng.standard_normal()
     if los:
         phase = 2.0 * math.pi * rng.random()
@@ -291,38 +232,32 @@ def bearing(site: BsSite, x: float, y: float) -> float:
     return abs(math.atan2(y - site.y, x - site.x))
 
 
-def prepare_link(model: ChannelModel, fading: LinkFading, site: BsSite,
-                 m: int) -> PreparedLink:
-    """Fold one episode's fading draw and the model constants into a link.
+def link_set(model: ChannelModel, fadings: Sequence[LinkFading],
+             sites: Sequence[BsSite], m: int) -> LinkSet:
+    """The set ``realize_channel`` takes: row i is the link of ``fadings[i]``
+    from ``sites[i]``.
 
     An NLOS link's sum over its paths is built from one (N_p, M) exponential
     of the steering phases, accumulated path by path in draw order, which
     is the float order of adding up one steering vector per path.
     """
-    h_nlos = None
-    if not fading.los:
-        cos = np.array([math.cos(aod) for aod in fading.aods.tolist()])
-        beams = np.exp(np.multiply.outer(cos, _phase_ramp(m, model.d_over_lambda)))
-        beams /= math.sqrt(m)
-        h_nlos = np.add.accumulate(fading.gains[:, None] * beams, axis=0)[-1]
-    return PreparedLink(site=site, los=fading.los, loss=model.loss_terms[fading.los],
-                        shadow_db=fading.shadow_db,
-                        los_gain=fading.gains[0] if fading.los else None,
-                        h_nlos=h_nlos)
-
-
-def link_set(model: ChannelModel, links: Sequence[PreparedLink], m: int) -> LinkSet:
-    """Gather prepared links into the set ``realize_channel`` takes."""
-    small = np.zeros((len(links), m), dtype=complex)
-    for i, link in enumerate(links):
-        if not link.los:
-            small[i] = link.h_nlos
-    los_rows = [i for i, link in enumerate(links) if link.los]
-    los_gains = np.array([links[i].los_gain for i in los_rows], dtype=complex)
-    return LinkSet(links=tuple(links), los_rows=np.array(los_rows, dtype=np.intp),
-                   los_gains=los_gains[:, None],
-                   small=small, ramp=_phase_ramp(m, model.d_over_lambda),
-                   sqrt_m=math.sqrt(m), tx_gain_dbi=model.tx_gain_dbi,
+    ramp, sqrt_m = _phase_ramp(m, model.d_over_lambda), math.sqrt(m)
+    small = np.zeros((len(fadings), m), dtype=complex)
+    for i, fading in enumerate(fadings):
+        if not fading.los:
+            cos = np.array([math.cos(aod) for aod in fading.aods.tolist()])
+            beams = np.exp(np.multiply.outer(cos, ramp))
+            beams /= sqrt_m
+            small[i] = np.add.accumulate(fading.gains[:, None] * beams, axis=0)[-1]
+    los = tuple(fading.los for fading in fadings)
+    los_rows = [i for i, is_los in enumerate(los) if is_los]
+    los_gains = np.array([fadings[i].gains[0] for i in los_rows], dtype=complex)
+    return LinkSet(sites=tuple(sites), los=los,
+                   loss=tuple(model.loss_terms[is_los] for is_los in los),
+                   shadow_db=tuple(fading.shadow_db for fading in fadings),
+                   los_rows=np.array(los_rows, dtype=np.intp),
+                   los_gains=los_gains[:, None], small=small, ramp=ramp,
+                   sqrt_m=sqrt_m, tx_gain_dbi=model.tx_gain_dbi,
                    ue_gain_dbi=model.ue_gain_dbi)
 
 
@@ -337,12 +272,12 @@ def realize_channel(links: LinkSet, positions: Sequence) -> np.ndarray:
     """
     scales = []
     cos_los = []
-    for link, (x, y) in zip(links.links, positions):
-        site = link.site
+    for site, los, loss, shadow_db, (x, y) in zip(links.sites, links.los, links.loss,
+                                                  links.shadow_db, positions):
         d = math.hypot(x - site.x, y - site.y)
-        pl_eff = link.loss.at(d) + link.shadow_db - links.tx_gain_dbi - links.ue_gain_dbi
+        pl_eff = loss.at(d) + shadow_db - links.tx_gain_dbi - links.ue_gain_dbi
         scales.append(links.sqrt_m / 10.0 ** (pl_eff / 20.0))
-        if link.los:
+        if los:
             cos_los.append(math.cos(bearing(site, x, y)))
     h = links.small.copy()
     if cos_los:

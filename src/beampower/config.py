@@ -143,7 +143,8 @@ class NetworkConfig:
 
     def _validate(self):
         # each check is written so that NaN fails it
-        for name in ("cell_radius_m", "carrier_mhz", "bs_height_m"):
+        for name in ("cell_radius_m", "carrier_mhz", "bs_height_m", "ue_height_m",
+                     "d_over_lambda", "payload_bits"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 < self.intersite_factor < 2:
@@ -156,6 +157,17 @@ class NetworkConfig:
             raise ConfigError(f"n_paths_nlos must be >= 1, got {self.n_paths_nlos}")
         if not self.step_ms > 0:
             raise ConfigError(f"step_ms must be positive, got {self.step_ms}")
+        if not self.ue_speed_kmh >= 0:
+            raise ConfigError(f"ue_speed_kmh must be >= 0, got {self.ue_speed_kmh}")
+        # the walk's radial reflection keeps a UE in its disk only for steps
+        # of at most 2r (a step from inside lands within 3r of the site)
+        from .geometry import mobility_step_m
+        step_m = mobility_step_m(self.ue_speed_kmh, self.dt_s)
+        if not step_m <= 2.0 * self.cell_radius_m:
+            raise ConfigError(
+                f"ue_speed_kmh = {self.ue_speed_kmh} and step_ms = {self.step_ms} give "
+                f"a {step_m:g} m walk step, longer than 2 * cell_radius_m = "
+                f"{2.0 * self.cell_radius_m:g} m")
         if not self.bandwidth_hz > 0:
             raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         for m in self.m_list:
@@ -164,7 +176,7 @@ class NetworkConfig:
         if self.q == 0 and self.m_list != (1,):
             raise ConfigError("voice bearer (q=0) uses a single antenna: m_list must be (1,)")
         if self.q == 1 and 1 in self.m_list:
-            raise ConfigError("data bearer (q=1) requires M > 1")
+            raise ConfigError("data bearer (q=1) requires M > 1 in every m_list entry")
         for e in self.engines:
             if e not in ALLOWED_ENGINES:
                 raise ConfigError(f"unknown engine {e!r}, expected one of {ALLOWED_ENGINES}")
@@ -174,9 +186,11 @@ class NetworkConfig:
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if not self.meas_per_step >= 0:
             raise ConfigError(f"meas_per_step must be >= 0, got {self.meas_per_step}")
-        if self.power_floor_dbm is not None and not self.power_floor_dbm <= self.max_power_dbm:
-            raise ConfigError(f"power_floor_dbm must be at most max_power_dbm, got "
-                              f"{self.power_floor_dbm} > {self.max_power_dbm}")
+        for name in ("power_floor_dbm", "initial_power_dbm"):
+            value = getattr(self, name)
+            if value is not None and not value <= self.max_power_dbm:
+                raise ConfigError(f"{name} must be at most max_power_dbm, got "
+                                  f"{value} > {self.max_power_dbm}")
         if self.minibatch < 1:
             raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
         if self.replay_capacity < 1:
@@ -217,6 +231,10 @@ class NetworkConfig:
             raise ConfigError("need 1 <= n_prb_ue <= n_prb_total")
         if not 0 <= self.voice_activity <= 1:
             raise ConfigError(f"voice_activity must be in [0, 1], got {self.voice_activity}")
+        if not 0 < self.tabular_alpha <= 1:
+            raise ConfigError(f"tabular_alpha must be in (0, 1], got {self.tabular_alpha}")
+        if not self.learning_rate >= 0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.tabular_bins < 1:
             raise ConfigError(f"tabular_bins must be >= 1, got {self.tabular_bins}")
 

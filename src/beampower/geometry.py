@@ -59,7 +59,11 @@ def mobility_step_m(speed_kmh: float, dt_s: float) -> float:
 
 
 def reflect_into_cell(x: float, y: float, site: BsSite, r: float):
-    """Radial reflection at the cell-disk boundary (steps are << r)."""
+    """Radial reflection at the cell-disk boundary.
+
+    A point within 3r of the site, as a step of at most 2r from inside the
+    disk lands (the config rejects longer ones), maps back into the disk.
+    """
     dx, dy = x - site.x, y - site.y
     d = math.hypot(dx, dy)
     if d <= r or d == 0.0:

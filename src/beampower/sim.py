@@ -19,12 +19,13 @@ Conventions
   the episode begins, so the substream is consumed the same way however
   early the radio loop aborts.  The walk itself is advanced only as far as
   a step asks for.
-* Each BS->UE link is prepared once per episode from its fading draw
-  (:func:`beampower.channel.prepare_link`): path-loss constants, shadowing
-  and, for an NLOS link, the small-scale sum over its fixed paths.  A step
-  realises the four links together at the current positions
-  (:func:`beampower.channel.realize_channel`): a distance, a path-loss term
-  and a scale per link, plus one exponential shared by the LOS links.
+* The four BS->UE links' fading is drawn once per episode, and
+  :func:`beampower.channel.link_set` folds the draws into one table, a row
+  per link: site, path-loss constants, shadowing and, for an NLOS link, the
+  small-scale sum over its fixed paths.  A step realises the rows together
+  at the current positions (:func:`beampower.channel.realize_channel`): a
+  distance, a path-loss term and a scale per link, plus one exponential
+  shared by the LOS links.
 * An episode keeps its steps in one flat ``array('d')``, its step log:
   ``LOG_WIDTH`` floats per step, in ``LOG_COLUMNS`` order, and row k is step
   t = k.  A step without an action stores -1 and a step without a loss NaN;
@@ -53,7 +54,7 @@ import numpy as np
 from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
                      decay_epsilon, select_action, sgd_step, tabular_update)
 from .channel import (ChannelModel, build_codebook, draw_link_fading, link_set,
-                      noise_power_dbm, prepare_link, realize_channel)
+                      noise_power_dbm, realize_channel)
 from .config import ALLOWED_ENGINES, ConfigError, NetworkConfig, text_hash
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
@@ -175,7 +176,7 @@ class TwoCellEnv:
     # ---- episode lifecycle -------------------------------------------------
 
     def begin_episode(self, episode: int | None = None) -> int:
-        """Re-drop the UEs, draw the walk directions and prepare the links.
+        """Re-drop the UEs, draw the walk directions and the links' fading.
 
         Every episode is an independent trial: positions, path angles, and
         fading all come from a substream keyed by (seed, episode), so the
@@ -200,9 +201,9 @@ class TwoCellEnv:
         self._angles = rng.uniform(0.0, 2.0 * math.pi,
                                    size=(N_CELLS, self.t_steps)).tolist()
         model = self.chan_model
-        self._links = link_set(model, [
-            prepare_link(model, draw_link_fading(model, rng), site, self.m)
-            for _ in range(N_CELLS) for site in sites], self.m)
+        row_sites = [site for _ in range(N_CELLS) for site in sites]
+        self._links = link_set(model, [draw_link_fading(model, rng) for _ in row_sites],
+                               row_sites, self.m)
         self._traj = [[drop] for drop in drops]
         self._chan_cache = {}
         return self.episode
@@ -274,19 +275,6 @@ class TwoCellEnv:
     def set_levels(self, powers_dbm: Sequence[float], beams: Sequence[int]) -> None:
         self.powers_dbm = list(powers_dbm)
         self.beams = [int(n) % self.m for n in beams]
-
-
-def replay_episode_channels(config: NetworkConfig, m: int, seed: int,
-                            episode_index: int) -> list:
-    """Reconstruct the channel sets of one episode of a (config, seed) run.
-
-    Positions, walk, and fading are engine-independent functions of
-    (config, m, seed, episode), so this reproduces exactly what any engine
-    saw during that episode.
-    """
-    env = TwoCellEnv(config, m, seed)
-    env.begin_episode(episode_index)
-    return [env.channels(k) for k in range(env.t_steps)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from beampower.radio import (CodeRateMap, apply_power_cmd, db_to_lin,
                              fpa_power_dbm, reward_value, sinr_db, sum_rate)
 from beampower.sim import (N_CELLS, TIMING_COLUMNS, TwoCellEnv,
                            best_complete_episode, ccdf, read_summary,
-                           replay_episode_channels, run_experiment)
-from channel_draws import sample_channel
+                           run_experiment)
+from channel_draws import replay_episode_channels, sample_channel
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

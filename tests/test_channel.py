@@ -9,14 +9,12 @@ from beampower.channel import (
     CODEBOOK_SIZES,
     ChannelModel,
     LinkFading,
-    PathLossModel,
     bearing,
     build_codebook,
     draw_link_fading,
     link_set,
     noise_power_dbm,
     path_loss_terms,
-    prepare_link,
     realize_channel,
     steering_vector,
 )
@@ -67,37 +65,38 @@ def test_codebook_layout():
 
 
 def test_close_in_path_loss_values():
-    model = PathLossModel.close_in()
+    cfg = NetworkConfig(q=1)
     # 1 m intercept at 28 GHz
-    assert path_loss_terms(model).at(1.0) == pytest.approx(61.3432, abs=1e-3)
-    assert path_loss_terms(model).at(100.0) == pytest.approx(101.3432, abs=1e-3)
+    assert path_loss_terms(cfg).at(1.0) == pytest.approx(61.3432, abs=1e-3)
+    assert path_loss_terms(cfg).at(100.0) == pytest.approx(101.3432, abs=1e-3)
     # blocked path decays three exponents per decade
-    assert path_loss_terms(model, los=False).at(100.0) == pytest.approx(121.3432, abs=1e-3)
+    assert path_loss_terms(cfg, los=False).at(100.0) == pytest.approx(121.3432, abs=1e-3)
 
 
 def test_cost231_path_loss_value():
-    model = PathLossModel.cost231()
+    cfg = NetworkConfig(q=0)
     # urban value at 1 km, 2100 MHz, 30 m mast, 1.5 m handset
-    assert path_loss_terms(model).at(1000.0) == pytest.approx(141.4604, abs=1e-3)
+    assert path_loss_terms(cfg).at(1000.0) == pytest.approx(141.4604, abs=1e-3)
 
 
 def test_path_loss_monotone_and_guarded():
-    model = PathLossModel.close_in()
+    cfg = NetworkConfig(q=1)
     d = np.linspace(1.0, 300.0, 50)
-    pl = [path_loss_terms(model).at(x) for x in d]
+    pl = [path_loss_terms(cfg).at(x) for x in d]
     assert all(b > a for a, b in zip(pl, pl[1:]))
     with pytest.raises(ValueError):
-        path_loss_terms(model).at(0.0)
+        path_loss_terms(cfg).at(0.0)
 
 
 def test_shadowing_only_with_rng():
     # the median path loss is deterministic; shadowing is a per-link fading draw
-    model = ChannelModel(path_loss=PathLossModel.close_in(), p_los=1.0, n_paths_nlos=4)
-    base = path_loss_terms(model.path_loss).at(50.0)
+    cfg = NetworkConfig(q=1, p_los=1.0)
+    model = ChannelModel.from_config(cfg)
+    base = path_loss_terms(cfg).at(50.0)
     rng = np.random.default_rng(0)
     shadows = [draw_link_fading(model, rng).shadow_db for _ in range(200)]
     assert 2.0 < np.std(shadows) < 6.0  # 4 dB log-normal
-    assert path_loss_terms(model.path_loss).at(50.0) == base
+    assert path_loss_terms(cfg).at(50.0) == base
 
 
 def test_noise_power_values():
@@ -112,14 +111,16 @@ def test_bearing_reflects_into_upper_half():
     assert bearing(site, -1.0, 0.0) == pytest.approx(math.pi)
 
 
+_DATA = NetworkConfig(q=1, m_list=(4,))
+
+
 def _data_model() -> ChannelModel:
-    return ChannelModel.from_config(NetworkConfig(q=1, m_list=(4,)))
+    return ChannelModel.from_config(_DATA)
 
 
 def _realize_one(model, fading, site, m, x, y) -> np.ndarray:
     """One link's channel at (x, y), through a one-row link set."""
-    return realize_channel(link_set(model, [prepare_link(model, fading, site, m)], m),
-                           [(x, y)])[0]
+    return realize_channel(link_set(model, [fading], [site], m), [(x, y)])[0]
 
 
 def test_direct_path_matches_its_codebook_beam():
@@ -160,7 +161,7 @@ def test_channel_power_tracks_amplitude_ratio():
     for _ in range(4000):
         fad = draw_link_fading(model, rng)
         ch = _realize_one(model, fad, site, 8, 80.0, 35.0)
-        pl_eff = (path_loss_terms(model.path_loss, fad.los).at(math.hypot(80.0, 35.0))
+        pl_eff = (path_loss_terms(_DATA, fad.los).at(math.hypot(80.0, 35.0))
                   + fad.shadow_db - model.tx_gain_dbi - model.ue_gain_dbi)
         rho = 10.0 ** (pl_eff / 20.0)
         vals.append(float(np.vdot(ch, ch).real) * rho**2 / 8.0)
@@ -209,29 +210,29 @@ def test_nlos_sum_matches_the_per_path_loop_bit_for_bit(m, n_paths):
     rng = np.random.default_rng(1000 * m + n_paths)
     site = BsSite(id=0, x=0.0, y=0.0)
     for d_over_lambda in (0.5, 0.37):
-        model = ChannelModel(path_loss=PathLossModel.close_in(), p_los=0.0,
-                             n_paths_nlos=n_paths, d_over_lambda=d_over_lambda)
+        model = ChannelModel.from_config(NetworkConfig(
+            q=1, p_los=0.0, n_paths_nlos=n_paths, d_over_lambda=d_over_lambda))
         for _ in range(200):
             fad = _random_fading(rng, False, n_paths)
             ref = np.zeros(m, dtype=complex)
             for g, aod in zip(fad.gains, fad.aods):
                 ref += g * steering_vector(aod, m, d_over_lambda)
-            assert np.array_equal(prepare_link(model, fad, site, m).h_nlos, ref)
+            assert np.array_equal(link_set(model, [fad], [site], m).small[0], ref)
 
 
-def _single_link_channel(model, fading, site, x, y, m):
+def _single_link_channel(cfg, fading, site, x, y, m):
     """The direct formula of one link's channel at (x, y)."""
     d = math.hypot(x - site.x, y - site.y)
-    pl_eff = (path_loss_terms(model.path_loss, fading.los).at(d) + fading.shadow_db
-              - model.tx_gain_dbi - model.ue_gain_dbi)
+    pl_eff = (path_loss_terms(cfg, fading.los).at(d) + fading.shadow_db
+              - cfg.tx_gain_dbi - cfg.ue_gain_dbi)
     rho = 10.0 ** (pl_eff / 20.0)
     if fading.los:
         small = fading.gains[0] * steering_vector(bearing(site, x, y), m,
-                                                  model.d_over_lambda)
+                                                  cfg.d_over_lambda)
     else:
         small = np.zeros(m, dtype=complex)
         for g, aod in zip(fading.gains, fading.aods):
-            small += g * steering_vector(aod, m, model.d_over_lambda)
+            small += g * steering_vector(aod, m, cfg.d_over_lambda)
     return small * (math.sqrt(m) / rho)
 
 
@@ -254,12 +255,11 @@ def test_batched_channel_rows_match_the_single_link_formula(q):
         row_sites = [sites[int(rng.integers(2))] for _ in range(n)]
         positions = [(float(rng.uniform(-400, 900)), float(rng.uniform(-400, 400)))
                      for _ in range(n)]
-        links = link_set(model, [prepare_link(model, f, s, m)
-                                 for f, s in zip(fadings, row_sites)], m)
+        links = link_set(model, fadings, row_sites, m)
         h = realize_channel(links, positions)
         assert h.shape == (n, m)
         mixes.add(tuple(f.los for f in fadings))
         for row, f, s, (x, y) in zip(h, fadings, row_sites, positions):
-            assert np.array_equal(row, _single_link_channel(model, f, s, x, y, m))
+            assert np.array_equal(row, _single_link_channel(cfg, f, s, x, y, m))
     assert (True,) in mixes and (False,) in mixes
     assert any(True in mix and False in mix for mix in mixes)

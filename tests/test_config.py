@@ -3,13 +3,15 @@
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beampower import cli
-from beampower.config import _FIELD_TYPES, ConfigError, NetworkConfig
-from beampower.sim import run_experiment, trace_rows
+from beampower.config import _FIELD_TYPES, ALLOWED_M, ConfigError, NetworkConfig
+from beampower.sim import TwoCellEnv, run_experiment, trace_rows
 
 SRC = Path(cli.__file__).resolve().parent
 CONFIG_NAMES = ("config", "cfg")      # how src/ names a NetworkConfig
@@ -92,6 +94,10 @@ def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     # unchecked, each of these fails a run part way (exit 2) or is accepted
     ("step_ms", 0), ("replay_capacity", 0), ("bandwidth_hz", 0),
     ("n_paths_nlos", 0), ("p_los", 1.5), ("p_los", -0.5),
+    # accepted, each running a setting with no physical or learning meaning
+    ("tabular_alpha", 2.0), ("tabular_alpha", 0.0), ("ue_speed_kmh", -5),
+    ("initial_power_dbm", 60), ("d_over_lambda", 0), ("payload_bits", -1),
+    ("ue_height_m", 0), ("ue_height_m", -1), ("learning_rate", -0.003),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.cfg"
@@ -140,3 +146,49 @@ def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
         assert name in capsys.readouterr().err
         assert cli.main(["ccdf", "--trace", str(trace)]) == 1
         assert name in capsys.readouterr().err
+
+
+@st.composite
+def _config_kwargs(draw) -> dict:
+    """NetworkConfig keyword arguments over the bearer, the run matrix, the
+    walk and the power levels; many of them out of range."""
+    def either(edges, low, high):
+        return st.one_of(st.sampled_from(edges), st.floats(low, high))
+
+    q = draw(st.sampled_from((0, 1)))
+    powers = st.one_of(st.none(), either((0.0, 46.0, 50.0), -20.0, 60.0))
+    return {
+        "q": q,
+        # hypothesis leans to a list's first entry: make it a valid M, and
+        # let a few voice draws take M = 4, which q=0 rejects
+        "m_list": (draw(st.sampled_from((8, 4, 16, 64, 32, 1) if q else (1, 1, 1, 4))),),
+        "seeds": tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3))),
+        "episode_cap": draw(st.integers(1, 5)),
+        "frame_steps": draw(st.integers(1, 3)),
+        "p_los": draw(either((0.0, 1.0), 0.0, 1.0)),
+        "ue_speed_kmh": draw(either((2000.0, 1000.0, 2.0, 0.0), 0.0, 2000.0)),
+        "step_ms": draw(either((1000.0, 1.0, 0.5), 0.5, 1000.0)),
+        "power_floor_dbm": draw(powers),
+        "initial_power_dbm": draw(powers),
+    }
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_config_kwargs())
+def test_every_accepted_config_round_trips_and_walks_inside_its_cells(kw):
+    try:
+        cfg = NetworkConfig(**kw)
+    except ConfigError as exc:
+        # a rejection names one of the keys drawn
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in kw), str(exc)
+        return
+    back = NetworkConfig.from_text(cfg.to_text())
+    assert back == cfg
+    assert back.config_hash() == cfg.config_hash()
+    env = TwoCellEnv(cfg, cfg.m_list[0], cfg.seeds[0])
+    r = env.layout.cell_radius_m
+    for episode in range(3):
+        env.begin_episode(episode)
+        for k in range(env.t_steps + 1):
+            for site, (x, y) in zip(env.layout.sites, env.positions(k)):
+                assert math.hypot(x - site.x, y - site.y) <= r + 1e-9

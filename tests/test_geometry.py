@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from beampower import sim
+from beampower import cli, sim
 from beampower.config import ConfigError, NetworkConfig
 from beampower.geometry import (
     associate,
@@ -142,6 +142,36 @@ def test_walk_never_leaves_cell(monkeypatch):
                 site = env.layout.site(u)
                 assert math.hypot(x - site.x, y - site.y) <= r + 1e-9
     assert sum(outside) > 100
+
+
+def test_walk_step_of_two_radii_stays_in_the_cell():
+    # 1080 km/h over 1 s steps is 300 m per step, exactly 2r in a 150 m
+    # cell: the longest step the config accepts
+    cfg = NetworkConfig(q=1, m_list=(4,), ue_speed_kmh=1080.0, step_ms=1000.0,
+                        frame_steps=50)
+    r = cfg.cell_radius_m
+    assert mobility_step_m(cfg.ue_speed_kmh, cfg.dt_s) == 2.0 * r
+    env = TwoCellEnv(cfg, 4, 5)
+    for _ in range(20):
+        env.begin_episode()
+        for k in range(env.t_steps + 1):
+            for u, (x, y) in enumerate(env.positions(k)):
+                site = env.layout.site(u)
+                assert math.hypot(x - site.x, y - site.y) <= r + 1e-9
+
+
+@pytest.mark.parametrize("speed_kmh", [1080.001, 2000.0])
+def test_walk_step_longer_than_two_radii_is_a_config_error(tmp_path, capsys, speed_kmh):
+    # a 300.0003 m or 555.6 m step in a 150 m cell: the reflection cannot
+    # fold it back, and at 2000 km/h the UEs walked out to 9.5 r
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"q = 1\nm_list = 4\nengines = fpa\nepisode_cap = 1\n"
+                   f"ue_speed_kmh = {speed_kmh}\nstep_ms = 1000\n")
+    rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ue_speed_kmh" in err and "step_ms" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reflection_folds_radially():

@@ -23,7 +23,6 @@ from beampower.sim import (
     convergence_episode,
     make_engine,
     read_trace,
-    replay_episode_channels,
     run_episode,
     run_experiment,
     summarize_run,
@@ -33,6 +32,7 @@ from beampower.sim import (
     trace_rows,
     write_trace,
 )
+from channel_draws import replay_episode_channels
 
 
 def _voice_cfg(**kw):
@@ -124,10 +124,10 @@ def link_draws(monkeypatch):
     return draws
 
 
-def _reference_channel(model, fading, site, x, y, m):
-    # the direct per-step formula that prepared links replace
+def _reference_channel(cfg, model, fading, site, x, y, m):
+    # the direct per-step formula that the episode's link table replaces
     d = math.hypot(x - site.x, y - site.y)
-    pl_eff = (_reference_path_loss_db(model.path_loss, d, fading.los) + fading.shadow_db
+    pl_eff = (_reference_path_loss_db(cfg, d, fading.los) + fading.shadow_db
               - model.tx_gain_dbi - model.ue_gain_dbi)
     rho = 10.0 ** (pl_eff / 20.0)
     aods = np.array([bearing(site, x, y)]) if fading.los else fading.aods
@@ -159,30 +159,31 @@ def test_prepared_links_match_direct_formula_bit_for_bit(link_draws, q, m, p_los
                 chans = env.channels(k)
                 for u, (x, y) in enumerate(pos):
                     for b, site in enumerate(env.layout.sites):
-                        ref = _reference_channel(model, fading[u][b], site, x, y, m)
+                        ref = _reference_channel(cfg, model, fading[u][b], site, x, y, m)
                         assert np.array_equal(chans[u][b], ref)
     assert kinds == ({True, False} if p_los is None else {p_los == 1.0})
 
 
-def _reference_path_loss_db(model, d, los):
-    # the model formulas written out in one expression each
-    if model.kind == "close_in":
-        n = model.exp_los if los else model.exp_nlos
-        return 32.4 + 20.0 * math.log10(model.carrier_mhz / 1e3) + 10.0 * n * math.log10(d)
-    f, hb, hm = model.carrier_mhz, model.bs_height_m, model.ue_height_m
+def _reference_path_loss_db(cfg, d, los):
+    # the bearer's formulas written out in one expression each: close-in at
+    # q=1, COST231-Hata at q=0
+    if cfg.q == 1:
+        n = cfg.ci_exp_los if los else cfg.ci_exp_nlos
+        return 32.4 + 20.0 * math.log10(cfg.carrier_mhz / 1e3) + 10.0 * n * math.log10(d)
+    f, hb, hm = cfg.carrier_mhz, cfg.bs_height_m, cfg.ue_height_m
     a_hm = (1.1 * math.log10(f) - 0.7) * hm - (1.56 * math.log10(f) - 0.8)
     return (46.3 + 33.9 * math.log10(f) - 13.82 * math.log10(hb) - a_hm
             + (44.9 - 6.55 * math.log10(hb)) * math.log10(d / 1e3)
-            + model.urban_correction_db)
+            + cfg.cost231_correction_db)
 
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_path_loss_split_is_exact(q):
-    model = ChannelModel.from_config(NetworkConfig(q=q)).path_loss
+    cfg = NetworkConfig(q=q)
     for los in (True, False):
-        terms = path_loss_terms(model, los)
+        terms = path_loss_terms(cfg, los)
         for d in np.logspace(-1.0, 4.0, 151).tolist():
-            ref = _reference_path_loss_db(model, d, los)
+            ref = _reference_path_loss_db(cfg, d, los)
             assert terms.at(d) == ref
 
 
