@@ -4,9 +4,9 @@ from .config import ConfigError, NetworkConfig
 from .geometry import BsSite, Layout, associate, build_layout
 from .channel import (BeamCodebook, ChannelModel, build_codebook, noise_power_dbm,
                       steering_vector)
-from .radio import (CodeRateMap, JointCommand, apply_power_cmd, decode_action,
-                    effective_sinr_db, encode_action, fpa_power_dbm, pcode,
-                    reward_value, rx_power_mw, sinr_db, step_beam, sum_rate)
+from .radio import (REGISTER, CodeRateMap, JointCommand, apply_power_cmd,
+                    effective_sinr_db, fpa_power_dbm, rx_power_mw, sinr_db,
+                    step_beam, sum_rate)
 from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverged,
                      decay_epsilon, select_action, sgd_step, tabular_update)
 from .oracle import BruteForceResult, SearchSpace, brute_force

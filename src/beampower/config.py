@@ -170,6 +170,10 @@ class NetworkConfig:
                 f"{2.0 * self.cell_radius_m:g} m")
         if not self.bandwidth_hz > 0:
             raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        # an empty run-selection list would run nothing and exit 0
+        for name in ("m_list", "engines", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
         for m in self.m_list:
             if m not in ALLOWED_M:
                 raise ConfigError(f"m_list entry {m} not in {ALLOWED_M}")
@@ -180,8 +184,6 @@ class NetworkConfig:
         for e in self.engines:
             if e not in ALLOWED_ENGINES:
                 raise ConfigError(f"unknown engine {e!r}, expected one of {ALLOWED_ENGINES}")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
         if not all(s >= 0 for s in self.seeds):
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if not self.meas_per_step >= 0:
@@ -193,8 +195,10 @@ class NetworkConfig:
                                   f"{value} > {self.max_power_dbm}")
         if self.minibatch < 1:
             raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
-        if self.replay_capacity < 1:
-            raise ConfigError(f"replay_capacity must be >= 1, got {self.replay_capacity}")
+        # a buffer that cannot hold a minibatch never trains
+        if self.replay_capacity < self.minibatch:
+            raise ConfigError(f"replay_capacity must be >= minibatch, got "
+                              f"{self.replay_capacity} < {self.minibatch}")
         # hidden width rule: H = sqrt((|A| + 2) * N_mb), |A| the register's
         # values (radio imports this module, so import it here)
         from .radio import N_ACTIONS

@@ -29,10 +29,6 @@ class SearchSpace:
     power_grid_dbm: tuple
     codebook: BeamCodebook
 
-    @property
-    def n_candidates(self) -> int:
-        return n_candidates(len(self.power_grid_dbm), len(self.codebook))
-
 
 @dataclass(frozen=True)
 class BruteForceResult:
@@ -40,13 +36,11 @@ class BruteForceResult:
     beams: tuple
     objective_db: float          # sum over UEs of effective SINR (dB)
     eff_sinrs_db: tuple
-    feasible: bool               # every UE at or above the target
     n_evaluated: int
 
 
 def brute_force(channels: Sequence, space: SearchSpace, q: int,
-                code_map: CodeRateMap, noise_mw: float,
-                gamma_target_db: float | None = None) -> BruteForceResult:
+                code_map: CodeRateMap, noise_mw: float) -> BruteForceResult:
     """Maximise the sum of per-UE effective SINRs over the full grid.
 
     Candidates are scanned in lexicographic (p_0, n_0, p_1, n_1) order and
@@ -68,8 +62,5 @@ def brute_force(channels: Sequence, space: SearchSpace, q: int,
         if best is None or obj > best[0]:
             best = (obj, powers, beams, effs)
     obj, powers, beams, effs = best
-    feasible = (gamma_target_db is None
-                or all(e >= gamma_target_db for e in effs))
     return BruteForceResult(powers_dbm=powers, beams=beams, objective_db=obj,
-                            eff_sinrs_db=effs, feasible=feasible,
-                            n_evaluated=n_eval)
+                            eff_sinrs_db=effs, n_evaluated=n_eval)

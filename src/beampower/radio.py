@@ -1,5 +1,5 @@
 """Link-level arithmetic: received power, SINR, power/beam commands, the
-4-bit joint action register and its reward, and the sum-rate metric.
+4-bit joint action register, and the sum-rate metric.
 
 Register layout (bit i of the register value is a[i], bit 0 the LSB):
 
@@ -8,13 +8,16 @@ Register layout (bit i of the register value is a[i], bit 0 the LSB):
                 00 -> -3 dB, 01 -> -1 dB, 10 -> +1 dB, 11 -> +3 dB.
   q=1 (data):   a[0]: BS b power -1/+1 dB,  a[1]: BS l power -1/+1 dB,
                 a[2]: BS l beam step down/up, a[3]: BS b beam step down/up.
+
+``REGISTER[q][a]`` tabulates the layout once, as the ``JointCommand`` of each
+value; a voice step's reward is its row's ``dp_b_db - dp_ell_db``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -107,9 +110,7 @@ def fpa_power_dbm(n_prb_total: int, n_prb_ue: int, p_max_dbm: float = 46.0) -> f
 
 def apply_power_cmd(p_dbm: float, delta_db: float, p_max_dbm: float = 46.0,
                     p_floor_dbm: float | None = None) -> float:
-    """Apply a +-1/+-3 dB command, clamped at P_max (and optionally floored)."""
-    if delta_db not in (-3.0, -1.0, 1.0, 3.0):
-        raise ValueError(f"power command must be one of +-1, +-3 dB, got {delta_db}")
+    """Apply a power command, clamped at P_max (and optionally floored)."""
     p = min(p_max_dbm, p_dbm + delta_db)
     if p_floor_dbm is not None:
         p = max(p_floor_dbm, p)
@@ -117,9 +118,7 @@ def apply_power_cmd(p_dbm: float, delta_db: float, p_max_dbm: float = 46.0,
 
 
 def step_beam(n: int, direction: int, m: int) -> int:
-    """Circular codebook step: (n +- 1) mod M."""
-    if direction not in (-1, 1):
-        raise ValueError(f"beam step must be -1 or +1, got {direction}")
+    """Circular codebook step: (n + direction) mod M."""
     return (n + direction) % m
 
 
@@ -127,16 +126,10 @@ def step_beam(n: int, direction: int, m: int) -> int:
 # action register
 
 
-def pcode(field: int) -> float:
-    """2-bit power code -> dB delta."""
-    if not 0 <= field <= 3:
-        raise ValueError(f"power-code field must be in [0, 3], got {field}")
-    return POWER_CODES_DB[field]
-
-
 @dataclass(frozen=True)
 class JointCommand:
-    """Decoded register: power deltas in dB, beam steps in {-1, 0, +1}."""
+    """What one register value commands: power deltas in dB, beam steps in
+    {-1, 0, +1}."""
 
     dp_b_db: float
     dp_ell_db: float
@@ -144,55 +137,19 @@ class JointCommand:
     dbeam_b: int = 0
 
 
-def _bit(a: int, i: int) -> int:
-    return (a >> i) & 1
-
-
-@lru_cache(maxsize=None)
-def decode_action(a: int, q: int) -> JointCommand:
-    """Decode the 4-bit register for the given bearer.  Memoised: only the
-    32 valid (register, bearer) pairs return, and the command is frozen."""
-    if not 0 <= a < N_ACTIONS:
-        raise ValueError(f"action register must be in [0, {N_ACTIONS - 1}], got {a}")
-    if q not in (0, 1):
-        raise ValueError(f"bearer flag must be 0 or 1, got {q}")
+def _command(a: int, q: int) -> JointCommand:
+    """Register value ``a`` on bearer ``q``, read by the layout in the
+    module notes."""
+    a0, a1, a2, a3 = ((a >> i) & 1 for i in range(4))
     if q == 0:
-        dp_b = pcode(2 * _bit(a, 0) + _bit(a, 1))
-        dp_ell = pcode(2 * _bit(a, 2) + _bit(a, 3))
-        return JointCommand(dp_b_db=dp_b, dp_ell_db=dp_ell)
-    dp_b = 1.0 if _bit(a, 0) else -1.0
-    dp_ell = 1.0 if _bit(a, 1) else -1.0
-    dbeam_ell = 1 if _bit(a, 2) else -1
-    dbeam_b = 1 if _bit(a, 3) else -1
-    return JointCommand(dp_b_db=dp_b, dp_ell_db=dp_ell,
-                        dbeam_ell=dbeam_ell, dbeam_b=dbeam_b)
+        return JointCommand(dp_b_db=POWER_CODES_DB[2 * a0 + a1],
+                            dp_ell_db=POWER_CODES_DB[2 * a2 + a3])
+    return JointCommand(dp_b_db=1.0 if a0 else -1.0, dp_ell_db=1.0 if a1 else -1.0,
+                        dbeam_ell=1 if a2 else -1, dbeam_b=1 if a3 else -1)
 
 
-def encode_action(cmd: JointCommand, q: int) -> int:
-    """Inverse of decode_action; rejects commands the register cannot express."""
-    if q == 0:
-        if cmd.dbeam_ell or cmd.dbeam_b:
-            raise ValueError("voice register carries no beam commands")
-        fb = POWER_CODES_DB.index(cmd.dp_b_db)
-        fe = POWER_CODES_DB.index(cmd.dp_ell_db)
-        return ((fb >> 1) & 1) | ((fb & 1) << 1) | (((fe >> 1) & 1) << 2) | ((fe & 1) << 3)
-    if cmd.dp_b_db not in (-1.0, 1.0) or cmd.dp_ell_db not in (-1.0, 1.0):
-        raise ValueError("data register power deltas are +-1 dB")
-    if cmd.dbeam_ell not in (-1, 1) or cmd.dbeam_b not in (-1, 1):
-        raise ValueError("data register always steps both beams")
-    a = 0
-    a |= 1 if cmd.dp_b_db > 0 else 0
-    a |= (1 if cmd.dp_ell_db > 0 else 0) << 1
-    a |= (1 if cmd.dbeam_ell > 0 else 0) << 2
-    a |= (1 if cmd.dbeam_b > 0 else 0) << 3
-    return a
-
-
-def reward_value(a: int, gamma_b_db: float, gamma_ell_db: float, q: int) -> float:
-    """Joint reward: power-code difference for voice, post-action SINR sum for data."""
-    if q == 0:
-        return pcode(2 * _bit(a, 0) + _bit(a, 1)) - pcode(2 * _bit(a, 2) + _bit(a, 3))
-    return gamma_b_db + gamma_ell_db
+# REGISTER[q][a] is the command that register value a carries on bearer q
+REGISTER = tuple(tuple(_command(a, q) for a in range(N_ACTIONS)) for q in (0, 1))
 
 
 # ---------------------------------------------------------------------------

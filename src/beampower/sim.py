@@ -36,9 +36,9 @@ Conventions
   each access; the program itself reads the log.
 * A trace reads back as its run: ``read_trace`` parses each row straight
   into its episode's log and rebuilds the ``RunResult``, judging each
-  episode's ending as ``run_episode`` did, with every timing 0.  So
-  ``summarize_run`` builds every summary row, ``ccdf_file`` included, for
-  a run just finished and for one read from its trace alike.
+  episode's ending by ``episode_ending`` as ``run_episode`` does, with every
+  timing 0.  So ``summarize_run`` builds every summary row, ``ccdf_file``
+  included, for a run just finished and for one read from its trace alike.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .config import ALLOWED_ENGINES, ConfigError, NetworkConfig, text_hash
 from .geometry import (Layout, associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
 from .oracle import SearchSpace, brute_force, n_candidates
-from .radio import (N_ACTIONS, CodeRateMap, db_to_lin, decode_action,
-                    apply_power_cmd, effective_sinr_db, fpa_power_dbm,
-                    reward_value, sinr_db, step_beam, sum_rate)
+from .radio import (N_ACTIONS, REGISTER, CodeRateMap, JointCommand, db_to_lin,
+                    apply_power_cmd, effective_sinr_db, fpa_power_dbm, sinr_db,
+                    step_beam, sum_rate)
 
 IDX_ELL = 0
 IDX_B = 1
@@ -261,16 +261,15 @@ class TwoCellEnv:
 
     # ---- command application ----------------------------------------------
 
-    def apply_register(self, a: int) -> None:
-        cmd = decode_action(a, self.q)
+    def apply_register(self, cmd: JointCommand) -> None:
+        """Apply one ``REGISTER`` row to both BSs' powers and beams."""
         cfg = self.config
         self.powers_dbm[IDX_B] = apply_power_cmd(
             self.powers_dbm[IDX_B], cmd.dp_b_db, cfg.max_power_dbm, cfg.power_floor_dbm)
         self.powers_dbm[IDX_ELL] = apply_power_cmd(
             self.powers_dbm[IDX_ELL], cmd.dp_ell_db, cfg.max_power_dbm, cfg.power_floor_dbm)
-        if self.q == 1:
-            self.beams[IDX_ELL] = step_beam(self.beams[IDX_ELL], cmd.dbeam_ell, self.m)
-            self.beams[IDX_B] = step_beam(self.beams[IDX_B], cmd.dbeam_b, self.m)
+        self.beams[IDX_ELL] = step_beam(self.beams[IDX_ELL], cmd.dbeam_ell, self.m)
+        self.beams[IDX_B] = step_beam(self.beams[IDX_B], cmd.dbeam_b, self.m)
 
     def set_levels(self, powers_dbm: Sequence[float], beams: Sequence[int]) -> None:
         self.powers_dbm = list(powers_dbm)
@@ -317,7 +316,7 @@ class BruteForceEngine:
 
     def act(self, env, k, s):
         res = brute_force(env.channels(k), self.space, env.q, env.code_map,
-                          env.noise_mw, env.gamma_target_db)
+                          env.noise_mw)
         env.set_levels(res.powers_dbm, res.beams)
         return None
 
@@ -421,24 +420,40 @@ def make_engine(name: str, config: NetworkConfig, env: TwoCellEnv, seed: int):
 # episode loop
 
 
+def episode_ending(log: array, frame_steps: int, gamma_target_db: float,
+                   gamma_min_db: float) -> tuple[bool, bool]:
+    """(aborted, converged) of an episode from its step log: it aborted when
+    its last step left a UE's effective SINR below ``gamma_min_db``, and it
+    converged when it ran all ``frame_steps`` steps with every UE at
+    ``gamma_target_db`` or above at each."""
+    effs = list(zip(log[_EFF::LOG_WIDTH], log[_EFF + 1::LOG_WIDTH]))
+    aborted = min(effs[-1]) < gamma_min_db
+    converged = (not aborted and len(effs) == frame_steps
+                 and all(e_ell >= gamma_target_db and e_b >= gamma_target_db
+                         for e_ell, e_b in effs))
+    return aborted, converged
+
+
 def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
     """One frame of ``env.t_steps`` steps: observe, act, score, learn.
 
-    The episode aborts (with the reward overwritten by r_min) as soon as any
-    UE's effective SINR falls below ``env.gamma_min_db``; if instead the
-    final step meets ``env.gamma_target_db`` for every UE, r_max is added to
-    the final reward and patched into a learning engine's stored experience.
+    A step's reward is the post-action SINR sum on the data bearer, and on
+    the voice bearer the power-code difference of the register's row (0 for
+    a step without an action).  The episode aborts (with the reward
+    overwritten by r_min) as soon as any UE's effective SINR falls below
+    ``env.gamma_min_db``; if instead the final step meets
+    ``env.gamma_target_db`` for every UE, r_max is added to the final reward
+    and patched into a learning engine's stored experience.
     """
     cfg = env.config
-    t_steps = env.t_steps
+    q, t_steps = env.q, env.t_steps
     gamma_target, gamma_min = env.gamma_target_db, env.gamma_min_db
+    register = REGISTER[q]
     episode_index = env.begin_episode()
     engine.begin_episode(env)
     learns = hasattr(engine, "learn")
 
     log = []
-    aborted = False
-    all_meet = True
     decision_s = 0.0
     wall0 = time.perf_counter()
     s = env.observe(0) if learns else None
@@ -447,14 +462,17 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
         a = engine.act(env, k, s)
         decision_s += time.perf_counter() - t0
         if a is not None:
-            env.apply_register(a)
+            cmd = register[a]
+            env.apply_register(cmd)
         g_ell, g_b = env.sinrs_db(k)
-        eff_ell = effective_sinr_db(g_ell, env.q, env.code_map)
-        eff_b = effective_sinr_db(g_b, env.q, env.code_map)
-        if a is not None:
-            r = reward_value(a, g_b, g_ell, env.q)
+        eff_ell = effective_sinr_db(g_ell, q, env.code_map)
+        eff_b = effective_sinr_db(g_b, q, env.code_map)
+        if q == 1:
+            r = g_b + g_ell
+        elif a is not None:
+            r = cmd.dp_b_db - cmd.dp_ell_db
         else:
-            r = (g_b + g_ell) if env.q == 1 else 0.0
+            r = 0.0
         abort = min(eff_ell, eff_b) < gamma_min
         if abort:
             r = cfg.r_min
@@ -472,20 +490,18 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
                 powers[IDX_ELL], powers[IDX_B], beams[IDX_ELL], beams[IDX_B],
                 _NO_LOSS if loss is None else loss)
         if abort:
-            aborted = True
             break
-        if not (eff_ell >= gamma_target and eff_b >= gamma_target):
-            all_meet = False
 
+    log = array("d", log)
+    aborted, converged = episode_ending(log, t_steps, gamma_target, gamma_min)
     # a frame has at least one step, and one that did not abort ran them all
     if not aborted and min(eff_ell, eff_b) >= gamma_target:
         log[_REWARD - LOG_WIDTH] += cfg.r_max
         if learns:
             engine.finish_episode(cfg.r_max)
 
-    return EpisodeResult(index=episode_index, log=array("d", log),
-                         converged=not aborted and all_meet, aborted=aborted,
-                         wall_time_s=time.perf_counter() - wall0,
+    return EpisodeResult(index=episode_index, log=log, converged=converged,
+                         aborted=aborted, wall_time_s=time.perf_counter() - wall0,
                          decision_time_s=decision_s)
 
 
@@ -679,9 +695,9 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
     """The config in a trace's header and the run its rows hold, timings 0;
     the run is None for a trace without rows.  Each row goes straight into
     its episode's step log, and each episode's ending is judged from the log
-    as ``run_episode`` judged it.  A row that does not parse, or that
-    belongs to another run than the first row or the header's config,
-    raises ``ValueError`` naming the file and the line."""
+    by ``episode_ending``, as ``run_episode`` judges it.  A row that does not
+    parse, or that belongs to another run than the first row or the header's
+    config, raises ``ValueError`` naming the file and the line."""
     with open(path) as fh:
         version = fh.readline().rstrip("\n")
         if version != TRACE_VERSION:
@@ -744,11 +760,8 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
     episodes = []
     for idx in sorted(logs):
         log = logs[idx]
-        worst = [min(pair) for pair in zip(log[_EFF::LOG_WIDTH],
-                                           log[_EFF + 1::LOG_WIDTH])]
-        aborted = worst[-1] < gamma_min
-        converged = (not aborted and len(worst) == config.frame_steps
-                     and all(g >= gamma_target for g in worst))
+        aborted, converged = episode_ending(log, config.frame_steps, gamma_target,
+                                            gamma_min)
         episodes.append(EpisodeResult(index=idx, log=log, converged=converged,
                                       aborted=aborted, wall_time_s=0.0,
                                       decision_time_s=0.0))

@@ -47,6 +47,22 @@ def test_run_cli_overrides_replace_config_lists(tmp_path):
     assert traces == ["trace_fpa_M1_s5.csv"]
 
 
+@pytest.mark.parametrize("option, value, named", [
+    ("--episodes", "0", "episode_cap"),
+    ("--engines", "", "--engines"), ("--m", "", "--m"), ("--seeds", "", "--seeds"),
+])
+def test_a_cli_override_of_0_or_empty_is_applied(tmp_path, capsys, option, value,
+                                                 named):
+    # the config alone runs; an override of 0 or "" is not dropped but
+    # applied, and rejected naming the key or the option
+    cfg = _write_cfg(tmp_path, "q = 0\nengines = fpa\nepisode_cap = 3\n")
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", cfg, "--out", str(out), option, value])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "q = 0\nbeam_budget = 7\n")
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -98,10 +98,16 @@ def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     ("tabular_alpha", 2.0), ("tabular_alpha", 0.0), ("ue_speed_kmh", -5),
     ("initial_power_dbm", 60), ("d_over_lambda", 0), ("payload_bits", -1),
     ("ue_height_m", 0), ("ue_height_m", -1), ("learning_rate", -0.003),
+    # accepted, each running nothing: no job, or a dqn that never trains
+    # because its buffer cannot hold a minibatch (32)
+    ("engines", ""), ("m_list", ""), ("replay_capacity", 8),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
+    # the voice bearer already rejects an m_list other than (1,), so an empty
+    # one is tried on the data bearer
+    q = 1 if key == "m_list" else 0
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"q = 0\nengines = fpa,tabular,dqn\nepisode_cap = 1\n{key} = {value}\n")
+    cfg.write_text(f"q = {q}\nengines = fpa,tabular,dqn\nepisode_cap = 1\n{key} = {value}\n")
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert key in capsys.readouterr().err

@@ -10,17 +10,14 @@ from beampower.config import NetworkConfig
 from beampower.radio import (
     N_ACTIONS,
     POWER_CODES_DB,
+    REGISTER,
     CodeRateMap,
     JointCommand,
     apply_power_cmd,
     db_to_lin,
-    decode_action,
     effective_sinr_db,
-    encode_action,
     fpa_power_dbm,
     lin_to_db,
-    pcode,
-    reward_value,
     rx_power_mw,
     sinr_db,
     step_beam,
@@ -119,8 +116,6 @@ def test_power_command_clamps():
     assert apply_power_cmd(44.0, -3.0) == 41.0
     assert apply_power_cmd(1.0, -3.0, p_floor_dbm=0.0) == 0.0
     assert apply_power_cmd(1.0, -3.0, p_floor_dbm=None) == -2.0
-    with pytest.raises(ValueError):
-        apply_power_cmd(40.0, 2.0)
 
 
 def test_power_never_exceeds_ceiling_under_random_commands():
@@ -139,41 +134,50 @@ def test_beam_stepping_wraps():
 
 
 def test_pcode_values():
-    assert [pcode(i) for i in range(4)] == [-3.0, -1.0, 1.0, 3.0]
+    # every voice power code, the 2-bit field 2*a[0] + a[1] for BS b
     assert POWER_CODES_DB == (-3.0, -1.0, 1.0, 3.0)
+    assert [REGISTER[0][a].dp_b_db for a in (0b00, 0b10, 0b01, 0b11)] == \
+        [-3.0, -1.0, 1.0, 3.0]
 
 
-def test_register_round_trip_all_actions():
+def test_register_commands_are_distinct():
     for q in (0, 1):
-        for a in range(N_ACTIONS):
-            cmd = decode_action(a, q)
-            assert encode_action(cmd, q) == a
+        assert len(REGISTER[q]) == N_ACTIONS
+        assert len(set(REGISTER[q])) == N_ACTIONS
 
 
 def test_register_voice_fields():
     # both power fields read as 2-bit codes into the +/-1, +/-3 dB table
-    cmd = decode_action(0b0011, 0)
+    cmd = REGISTER[0][0b0011]
     assert cmd.dp_b_db == 3.0 and cmd.dp_ell_db == -3.0
     assert cmd.dbeam_b == 0 and cmd.dbeam_ell == 0
-    cmd = decode_action(0b1111, 0)
+    cmd = REGISTER[0][0b1111]
     assert cmd.dp_b_db == 3.0 and cmd.dp_ell_db == 3.0
+    cmd = REGISTER[0][0b0100]
+    assert cmd.dp_b_db == -3.0 and cmd.dp_ell_db == 1.0
+    assert all(c.dbeam_b == 0 and c.dbeam_ell == 0 for c in REGISTER[0])
 
 
 def test_register_data_fields():
-    cmd = decode_action(0b1111, 1)
+    cmd = REGISTER[1][0b1111]
     assert cmd.dp_b_db == 1.0 and cmd.dp_ell_db == 1.0
     assert cmd.dbeam_ell == 1 and cmd.dbeam_b == 1
-    cmd = decode_action(0b0000, 1)
+    cmd = REGISTER[1][0b0000]
     assert cmd.dp_b_db == -1.0 and cmd.dp_ell_db == -1.0
     assert cmd.dbeam_ell == -1 and cmd.dbeam_b == -1
+    # one bit per field: a[0] b power, a[1] l power, a[2] l beam, a[3] b beam
+    assert REGISTER[1][0b0001] == JointCommand(1.0, -1.0, -1, -1)
+    assert REGISTER[1][0b0010] == JointCommand(-1.0, 1.0, -1, -1)
+    assert REGISTER[1][0b0100] == JointCommand(-1.0, -1.0, 1, -1)
+    assert REGISTER[1][0b1000] == JointCommand(-1.0, -1.0, -1, 1)
 
 
 def test_reward_spot_values():
     # voice: reward favours boosting the serving cell over the interferer
-    assert reward_value(0b0011, 0.0, 0.0, 0) == pytest.approx(6.0)
-    assert reward_value(0b1010, 0.0, 0.0, 0) == pytest.approx(0.0)
-    # data: reward is the sum of the two measured SINRs
-    assert reward_value(5, 12.5, 7.5, 1) == pytest.approx(20.0)
+    cmd = REGISTER[0][0b0011]
+    assert cmd.dp_b_db - cmd.dp_ell_db == 6.0
+    cmd = REGISTER[0][0b1010]
+    assert cmd.dp_b_db - cmd.dp_ell_db == 0.0
 
 
 def test_sum_rate_known_value():

@@ -355,7 +355,8 @@ def test_tabular_terminal_step_targets_the_reward_alone(monkeypatch, floor_db,
     res = run_episode(env, eng)
     assert res.n_steps == 1 and res.aborted is not bonus
     a = int(res.log[0])
-    r = cfg.r_min if res.aborted else radio.reward_value(a, 0.0, 0.0, 0)
+    cmd = radio.REGISTER[0][a]
+    r = cfg.r_min if res.aborted else cmd.dp_b_db - cmd.dp_ell_db
     want = (1 - cfg.tabular_alpha) * c + cfg.tabular_alpha * r
     if bonus:
         want += cfg.tabular_alpha * cfg.r_max
