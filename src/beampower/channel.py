@@ -31,12 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig
+from .config import NetworkConfig
 from .geometry import BsSite
-
-# codebook sizes the channel layer accepts (experiment configs restrict
-# further; the small sizes exist for exhaustive cross-checks)
-CODEBOOK_SIZES = (1, 2, 4, 8, 16, 32, 64)
 
 
 def steering_vector(theta: float, m: int, d_over_lambda: float = 0.5) -> np.ndarray:
@@ -90,8 +86,6 @@ def build_codebook(m: int, d_over_lambda: float = 0.5,
     Centred bins place beam n at (n + 1/2)*pi/M; the edge-aligned variant
     uses n*pi/M instead.
     """
-    if m not in CODEBOOK_SIZES:
-        raise ConfigError(f"unsupported codebook size {m}, expected one of {CODEBOOK_SIZES}")
     if centered:
         angles = (np.arange(m) + 0.5) * math.pi / m
     else:

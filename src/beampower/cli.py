@@ -19,7 +19,7 @@ import numpy as np
 
 from . import sim
 from .channel import steering_vector
-from .config import ConfigError, NetworkConfig, text_hash
+from .config import ConfigError, NetworkConfig, parse_value, text_hash
 from .geometry import build_layout
 from .radio import N_ACTIONS, REGISTER, apply_power_cmd
 
@@ -31,18 +31,21 @@ def _default_out() -> str:
 
 
 def _load_config(args) -> NetworkConfig:
-    """The config file with each given option overriding its key, 0 included;
-    an empty list option is a config error naming the option."""
+    """The config file with each given option overriding its key, 0 included.
+    A list option parses as the key's value in a config file does; an empty
+    one, or a malformed item, is a config error naming the option."""
     cfg = NetworkConfig.load(args.config) if args.config else NetworkConfig()
     over = {}
-    for option, key, kind in (("engines", "engines", str), ("m", "m_list", int),
-                              ("seeds", "seeds", int)):
+    for option, key in (("engines", "engines"), ("m", "m_list"), ("seeds", "seeds")):
         text = getattr(args, option)
         if text is None:
             continue
         if not text.strip():
             raise ConfigError(f"--{option} needs at least one value, got {text!r}")
-        over[key] = tuple(kind(x) for x in text.split(","))
+        try:
+            over[key] = parse_value(key, text)
+        except ConfigError as exc:
+            raise ConfigError(f"--{option}: {exc}") from None
     if args.episodes is not None:
         over["episode_cap"] = args.episodes
     return cfg.replace(**over) if over else cfg

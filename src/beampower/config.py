@@ -6,11 +6,10 @@ voice, q=0, and mmWave data, q=1) default to the value for the selected
 bearer when left unset.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import hashlib
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,7 +89,6 @@ class NetworkConfig:
     eps_initial: float = 1.0
     eps_decay: float = 0.9995
     eps_min: float | None = None
-    net_width: int = 24
     minibatch: int = 32
     learning_rate: float = 0.003
     replay_capacity: int = 10_000
@@ -199,14 +197,12 @@ class NetworkConfig:
         if self.replay_capacity < self.minibatch:
             raise ConfigError(f"replay_capacity must be >= minibatch, got "
                               f"{self.replay_capacity} < {self.minibatch}")
-        # hidden width rule: H = sqrt((|A| + 2) * N_mb), |A| the register's
-        # values (radio imports this module, so import it here)
+        # the width rule must give a whole number of hidden units
         from .radio import N_ACTIONS
-        want = math.sqrt((N_ACTIONS + 2) * self.minibatch)
-        if abs(self.net_width - want) > 1e-9:
+        if self.net_width ** 2 != (N_ACTIONS + 2) * self.minibatch:
             raise ConfigError(
-                f"net_width={self.net_width} violates the width rule "
-                f"sqrt(({N_ACTIONS}+2)*minibatch) = {want:g}")
+                f"minibatch={self.minibatch} violates the width rule: "
+                f"sqrt(({N_ACTIONS}+2)*minibatch) is not a whole number")
         if not 0 <= self.eps_min <= self.eps_initial <= 1:
             raise ConfigError("need 0 <= eps_min <= eps_initial <= 1")
         if not 0 < self.eps_decay <= 1:
@@ -252,6 +248,15 @@ class NetworkConfig:
     def dt_s(self) -> float:
         return self.step_ms * 1e-3
 
+    @property
+    def net_width(self) -> int:
+        """Hidden width by the rule H = sqrt((|A| + 2) * N_mb), |A| the
+        register's values; ``_validate`` rejects a minibatch that leaves a
+        remainder."""
+        # radio imports this module, so import it here
+        from .radio import N_ACTIONS
+        return math.isqrt((N_ACTIONS + 2) * self.minibatch)
+
     def gamma_target_db(self, m: int) -> float:
         """Per-UE SINR target: 3 dB for voice, gamma0 + 10*log10(M) under beamforming."""
         if self.q == 0:
@@ -287,7 +292,7 @@ class NetworkConfig:
             key = key.strip()
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
-            kw[key] = _parse_value(key, value.strip())
+            kw[key] = parse_value(key, value.strip())
         return cls(**kw)
 
     @classmethod
@@ -315,31 +320,16 @@ def _format_value(v) -> str:
     return str(v)
 
 
-# per-field scalar parsers; tuple fields list their element parser
-_FIELD_TYPES = {
-    "q": int, "cell_radius_m": float, "intersite_factor": float,
-    "max_power_dbm": float,
-    "carrier_mhz": float, "tx_gain_dbi": float, "ue_gain_dbi": float,
-    "p_los": float, "n_paths_nlos": int, "ue_speed_kmh": float,
-    "frame_steps": int, "step_ms": float, "m_list": (int,),
-    "d_over_lambda": float, "codebook_centered": bool,
-    "ci_exp_los": float, "ci_exp_nlos": float,
-    "ci_shadow_los_db": float, "ci_shadow_nlos_db": float,
-    "bs_height_m": float, "ue_height_m": float,
-    "cost231_shadow_db": float, "cost231_correction_db": float,
-    "noise_figure_db": float, "bandwidth_hz": float,
-    "gamma_target_voice_db": float, "gamma_min_db": float, "gamma0_bf_db": float,
-    "discount": float, "eps_initial": float, "eps_decay": float, "eps_min": float,
-    "net_width": int, "minibatch": int, "learning_rate": float, "replay_capacity": int,
-    "r_min": float, "r_max": float, "tabular_alpha": float, "tabular_bins": int,
-    "code_rate_thresholds_db": (float,), "code_rate_betas": (float,),
-    "voice_activity": float,
-    "n_prb_total": int, "n_prb_ue": int,
-    "power_floor_dbm": float, "initial_power_dbm": float,
-    "oracle_power_grid": (float,),
-    "engines": (str,), "seeds": (int,),
-    "episode_cap": int, "payload_bits": float, "meas_per_step": int,
-}
+def _kind(annotation):
+    """A field's scalar parser: its type with ``None`` dropped from a union,
+    and ``(X,)`` for a ``tuple[X, ...]``."""
+    if typing.get_origin(annotation) is tuple:
+        return (typing.get_args(annotation)[0],)
+    args = [a for a in typing.get_args(annotation) if a is not type(None)]
+    return _kind(args[0]) if args else annotation
+
+
+_FIELD_TYPES = {f.name: _kind(f.type) for f in dataclasses.fields(NetworkConfig)}
 
 
 def _as_kind(kind, value, key: str):
@@ -369,7 +359,8 @@ def _parse_scalar(kind, token: str, key: str):
         raise ConfigError(f"{key}: cannot parse {token!r} as {kind.__name__}") from exc
 
 
-def _parse_value(key: str, value: str):
+def parse_value(key: str, value: str):
+    """The value of ``key`` from its config-file text; a list splits on commas."""
     kind = _FIELD_TYPES[key]
     if value.lower() == "none":
         return None

@@ -289,8 +289,6 @@ class TwoCellEnv:
 class FpaEngine:
     """Fixed power allocation: constant per-PRB power share, no coordination."""
 
-    name = "fpa"
-
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.power_dbm = fpa_power_dbm(config.n_prb_total, config.n_prb_ue,
                                        config.max_power_dbm)
@@ -304,8 +302,6 @@ class FpaEngine:
 
 class BruteForceEngine:
     """Exhaustive re-optimisation of absolute powers and beams every step."""
-
-    name = "brute_force"
 
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.space = SearchSpace(power_grid_dbm=tuple(config.oracle_power_grid),
@@ -323,8 +319,6 @@ class BruteForceEngine:
 
 class DqnEngine:
     """Replay-trained Q-network over the joint action register."""
-
-    name = "dqn"
 
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_AGENT)))
@@ -355,8 +349,6 @@ class DqnEngine:
 
 class TabularEngine:
     """Discretised Q-learning over the same state and action space."""
-
-    name = "tabular"
 
     def __init__(self, config: NetworkConfig, env: TwoCellEnv, seed: int):
         self.rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_AGENT)))
@@ -589,16 +581,17 @@ def sum_rate_summary(results: Sequence[EpisodeResult]) -> float | None:
                 if not r.aborted and r.log), default=None)
 
 
-def ccdf(samples: Sequence[float], thresholds: Sequence[float] | None = None,
-         n_points: int = 101) -> np.ndarray:
-    """Empirical P(X > x) on a uniform dB grid spanning the samples."""
+CCDF_POINTS = 101
+
+
+def ccdf(samples: Sequence[float]) -> np.ndarray:
+    """Empirical P(X > x) on a uniform dB grid of ``CCDF_POINTS`` spanning the
+    samples."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one sample")
-    if thresholds is None:
-        lo, hi = float(x.min()), float(x.max())
-        thresholds = np.linspace(lo, hi, n_points) if hi > lo else np.array([lo])
-    t = np.asarray(thresholds, dtype=float)
+    lo, hi = float(x.min()), float(x.max())
+    t = np.linspace(lo, hi, CCDF_POINTS) if hi > lo else np.array([lo])
     probs = np.array([(x > thr).mean() for thr in t])
     return np.column_stack([t, probs])
 

@@ -63,6 +63,30 @@ def test_a_cli_override_of_0_or_empty_is_applied(tmp_path, capsys, option, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, item", [
+    ("--m", "1,", "''"), ("--m", "4,x", "'x'"), ("--seeds", "1,x", "'x'"),
+])
+def test_a_malformed_list_item_is_a_config_error_naming_the_option(
+        tmp_path, capsys, option, value, item):
+    # a list option parses as the same list in a config file does
+    cfg = _write_cfg(tmp_path, "q = 0\nengines = fpa\nepisode_cap = 1\n")
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", cfg, "--out", str(out), option, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert option in err and item in err
+    assert not out.exists()
+
+
+def test_a_list_option_strips_spaces_as_a_config_file_does(tmp_path):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", str(out),
+                   "--engines", "fpa, tabular", "--seeds", " 2 ", "--episodes", "1"])
+    assert rc == 0
+    traces = sorted(p.name for p in out.glob("trace_*.csv"))
+    assert traces == ["trace_fpa_M1_s2.csv", "trace_tabular_M1_s2.csv"]
+
+
 def test_unknown_config_key_is_a_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "q = 0\nbeam_budget = 7\n")
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

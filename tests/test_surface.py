@@ -3,7 +3,8 @@
 Every public top-level function or class in ``src/beampower`` is referenced
 outside its own definition by the program (``src/`` other than the package
 ``__init__``, which only re-exports) or by the benchmark (``perfbench/``),
-and no ``src/`` module imports a name it never uses.
+every public plain class attribute is read there too, and no ``src/`` module
+imports a name it never uses.
 """
 
 import ast
@@ -66,6 +67,44 @@ def test_every_public_definition_has_a_caller_outside_tests():
                        if where != (path, i)):
                 unused.append(f"{path.name}: {name}")
     assert not unused, f"only tests use {unused}"
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """The ``X`` of each ``obj.X`` read and each ``getattr(obj, "X")``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            found.add(node.args[1].value)
+    return found
+
+
+def test_every_public_class_attribute_is_read():
+    # An attribute read does not say whose attribute it is (``f.name`` reads a
+    # dataclass field's name), so a read counts only in the module that
+    # defines the class or in a top-level statement elsewhere that names the
+    # class.  Dataclass fields (annotated) and methods are out of scope.
+    trees = {path: _parse(path)
+             for path in _program_files() + sorted((ROOT / "perfbench").glob("*.py"))}
+    unread = []
+    for path in _program_files():
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            readers = [stmt for where, tree in trees.items() for stmt in tree.body
+                       if where == path or cls.name in _names(stmt)]
+            for stmt in cls.body:
+                if not isinstance(stmt, ast.Assign):
+                    continue
+                for target in stmt.targets:
+                    if (isinstance(target, ast.Name) and not target.id.startswith("_")
+                            and not any(target.id in _attribute_reads(stmt)
+                                        for stmt in readers)):
+                        unread.append(f"{path.name}: {cls.name}.{target.id}")
+    assert not unread, f"class attributes nothing reads: {unread}"
 
 
 def test_no_module_imports_a_name_it_never_uses():
