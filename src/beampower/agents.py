@@ -61,7 +61,7 @@ class QNetwork:
                                                                            params)
 
     @classmethod
-    def initialize(cls, rng: np.random.Generator, width: int = 24) -> "QNetwork":
+    def initialize(cls, rng: np.random.Generator, width: int) -> "QNetwork":
         """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
         def glorot(n_out, n_in):
             lim = math.sqrt(6.0 / (n_in + n_out))
@@ -175,8 +175,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.s = np.empty((capacity, STATE_DIM))
         self.a = np.empty(capacity, dtype=np.int64)

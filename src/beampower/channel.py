@@ -63,7 +63,6 @@ class BeamCodebook:
     """M steering beams at fixed quantised angles."""
 
     m: int
-    angles: np.ndarray          # (M,)
     beams: np.ndarray           # (M, M) complex, row n = beam n
 
     def __len__(self) -> int:
@@ -79,8 +78,7 @@ class BeamCodebook:
         return self.rows[n]
 
 
-def build_codebook(m: int, d_over_lambda: float = 0.5,
-                   centered: bool = True) -> BeamCodebook:
+def build_codebook(m: int, d_over_lambda: float, centered: bool) -> BeamCodebook:
     """Quantise [0, pi] into M beams.
 
     Centred bins place beam n at (n + 1/2)*pi/M; the edge-aligned variant
@@ -91,7 +89,7 @@ def build_codebook(m: int, d_over_lambda: float = 0.5,
     else:
         angles = np.arange(m) * math.pi / m
     beams = np.stack([steering_vector(t, m, d_over_lambda) for t in angles])
-    return BeamCodebook(m=m, angles=angles, beams=beams)
+    return BeamCodebook(m=m, beams=beams)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +134,8 @@ def path_loss_terms(config: NetworkConfig, los: bool = True) -> PathLossTerms:
                          config.cost231_correction_db, config.cost231_shadow_db)
 
 
-def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 9.0) -> float:
+def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise power over the signal bandwidth: -174 dBm/Hz + 10log10(BW) + NF."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 

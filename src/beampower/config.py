@@ -36,31 +36,63 @@ _BEARER_DEFAULTS = {
 }
 
 
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from ``low`` to ``high``; ``ends`` is "[]", "[)", "(]" or
+    "()", and a round bracket leaves that end out.  Every comparison with NaN
+    is false, so NaN lies in no interval."""
+
+    low: float
+    high: float
+    ends: str = "[]"
+
+    def __contains__(self, x) -> bool:
+        above = self.low < x if self.ends[0] == "(" else self.low <= x
+        return above and (x < self.high if self.ends[1] == ")" else x <= self.high)
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+
+
+_POSITIVE = Interval(0, math.inf, "()")
+_NON_NEGATIVE = Interval(0, math.inf, "[)")
+_AT_LEAST_1 = Interval(1, math.inf, "[)")
+
+
+def _ranged(default, bound):
+    """A key whose value lies in ``bound``, an ``Interval`` or a tuple of the
+    allowed values; ``_validate`` checks each entry of a non-empty list key."""
+    return dataclasses.field(default=default, metadata={"range": bound})
+
+
 @dataclass
 class NetworkConfig:
     """All tunables for a run.  Unset bearer-dependent fields resolve per ``q``."""
 
     # bearer: 0 = sub-6 GHz voice, 1 = mmWave data
-    q: int = 0
+    q: int = _ranged(0, (0, 1))
 
     # geometry
-    cell_radius_m: float | None = None
-    intersite_factor: float = 1.5
+    cell_radius_m: float | None = _ranged(None, _POSITIVE)
+    # r > R/2 is required so neighbouring cells overlap and every point of
+    # the plane between sites is covered
+    intersite_factor: float = _ranged(1.5, Interval(0, 2, "()"))
 
     # radio
     max_power_dbm: float = 46.0
-    carrier_mhz: float | None = None
+    # no path-loss model means anything below 1 MHz
+    carrier_mhz: float | None = _ranged(None, Interval(1, math.inf, "[)"))
     tx_gain_dbi: float | None = None
     ue_gain_dbi: float = 0.0
-    p_los: float | None = None
-    n_paths_nlos: int | None = None
-    ue_speed_kmh: float | None = None
-    frame_steps: int | None = None
-    step_ms: float = 1.0
-    m_list: tuple[int, ...] | None = None
+    p_los: float | None = _ranged(None, Interval(0, 1))
+    n_paths_nlos: int | None = _ranged(None, _AT_LEAST_1)
+    ue_speed_kmh: float | None = _ranged(None, _NON_NEGATIVE)
+    frame_steps: int | None = _ranged(None, _AT_LEAST_1)
+    step_ms: float = _ranged(1.0, _POSITIVE)
+    m_list: tuple[int, ...] | None = _ranged(None, ALLOWED_M)
 
     # antenna array / codebook
-    d_over_lambda: float = 0.5
+    d_over_lambda: float = _ranged(0.5, _POSITIVE)
     codebook_centered: bool = True
 
     # close-in path loss (mmWave)
@@ -70,14 +102,14 @@ class NetworkConfig:
     ci_shadow_nlos_db: float = 8.0
 
     # COST231-Hata path loss (sub-6, urban)
-    bs_height_m: float = 30.0
-    ue_height_m: float = 1.5
+    bs_height_m: float = _ranged(30.0, _POSITIVE)
+    ue_height_m: float = _ranged(1.5, _POSITIVE)
     cost231_shadow_db: float = 8.0
     cost231_correction_db: float = 3.0
 
     # receiver noise
     noise_figure_db: float = 9.0
-    bandwidth_hz: float | None = None
+    bandwidth_hz: float | None = _ranged(None, _POSITIVE)
 
     # SINR targets
     gamma_target_voice_db: float = 3.0
@@ -85,49 +117,52 @@ class NetworkConfig:
     gamma0_bf_db: float = 5.0
 
     # learning
-    discount: float = 0.995
-    eps_initial: float = 1.0
-    eps_decay: float = 0.9995
-    eps_min: float | None = None
-    minibatch: int = 32
-    learning_rate: float = 0.003
-    replay_capacity: int = 10_000
+    discount: float = _ranged(0.995, Interval(0, 1, "[)"))
+    eps_initial: float = _ranged(1.0, Interval(0, 1))
+    eps_decay: float = _ranged(0.9995, Interval(0, 1, "(]"))
+    eps_min: float | None = _ranged(None, Interval(0, 1))
+    minibatch: int = _ranged(32, _AT_LEAST_1)
+    learning_rate: float = _ranged(0.003, _NON_NEGATIVE)
+    replay_capacity: int = _ranged(10_000, _AT_LEAST_1)
     r_min: float = -50.0
     r_max: float = 10.0
-    tabular_alpha: float = 0.2
-    tabular_bins: int = 4
+    tabular_alpha: float = _ranged(0.2, Interval(0, 1, "(]"))
+    tabular_bins: int = _ranged(4, _AT_LEAST_1)
 
     # adaptive code rate (voice)
     code_rate_thresholds_db: tuple[float, ...] = (0.0, 5.0)
-    code_rate_betas: tuple[float, ...] = (1.0 / 3.0, 0.5, 1.0)
-    voice_activity: float = 0.8
+    code_rate_betas: tuple[float, ...] = _ranged((1.0 / 3.0, 0.5, 1.0),
+                                                 Interval(1.0 / 3.0 - 1e-12, 1))
+    voice_activity: float = _ranged(0.8, Interval(0, 1))
 
     # power allocation
-    n_prb_total: int = 100
-    n_prb_ue: int = 10
+    n_prb_total: int = _ranged(100, _AT_LEAST_1)
+    n_prb_ue: int = _ranged(10, _AT_LEAST_1)
     power_floor_dbm: float | None = 0.0
     initial_power_dbm: float | None = None
 
     # exhaustive-search baseline
-    oracle_power_grid: tuple[float, ...] = (40.0, 42.0, 44.0, 46.0)
+    oracle_power_grid: tuple[float, ...] = _ranged((40.0, 42.0, 44.0, 46.0),
+                                                   Interval(-math.inf, math.inf, "()"))
 
-    # run matrix
-    engines: tuple[str, ...] = ("dqn",)
-    seeds: tuple[int, ...] = (1,)
-    episode_cap: int = 2000
-    payload_bits: float = 1e4
-    meas_per_step: int = 1
+    # run matrix; an empty list would run nothing and exit 0
+    engines: tuple[str, ...] = _ranged(("dqn",), ALLOWED_ENGINES)
+    seeds: tuple[int, ...] = _ranged((1,), _NON_NEGATIVE)
+    episode_cap: int = _ranged(2000, _AT_LEAST_1)
+    payload_bits: float = _ranged(1e4, _POSITIVE)
+    meas_per_step: int = _ranged(1, _NON_NEGATIVE)
 
     def __post_init__(self):
         self._resolve()
         self._validate()
 
     def _resolve(self):
-        if self.q not in (0, 1):
-            raise ConfigError(f"q must be 0 (voice) or 1 (data), got {self.q!r}")
+        # q picks the bearer defaults, so its own check runs before they are read
+        q = _as_kind(int, self.q, "q")
+        _check_range("q", q, _RANGES["q"])
         for name, pair in _BEARER_DEFAULTS.items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, pair[self.q])
+                object.__setattr__(self, name, pair[q])
         # list-ish fields become tuples, and an int given to a float field a
         # float, so a config built in code serialises as its text form does;
         # a NaN or an infinity is never a valid value
@@ -140,59 +175,33 @@ class NetworkConfig:
                 object.__setattr__(self, name, _as_kind(kind, value, name))
 
     def _validate(self):
-        # each check is written so that NaN fails it
-        for name in ("cell_radius_m", "carrier_mhz", "bs_height_m", "ue_height_m",
-                     "d_over_lambda", "payload_bits"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.intersite_factor < 2:
-            # r > R/2 is required so neighbouring cells overlap and every
-            # point of the plane between sites is covered
-            raise ConfigError(f"intersite_factor must be in (0, 2), got {self.intersite_factor}")
-        if not 0 <= self.p_los <= 1:
-            raise ConfigError(f"p_los must be in [0, 1], got {self.p_los}")
-        if self.n_paths_nlos < 1:
-            raise ConfigError(f"n_paths_nlos must be >= 1, got {self.n_paths_nlos}")
-        if not self.step_ms > 0:
-            raise ConfigError(f"step_ms must be positive, got {self.step_ms}")
-        if not self.ue_speed_kmh >= 0:
-            raise ConfigError(f"ue_speed_kmh must be >= 0, got {self.ue_speed_kmh}")
+        for name, bound in _RANGES.items():
+            _check_range(name, getattr(self, name), bound)
         # the walk's radial reflection keeps a UE in its disk only for steps
         # of at most 2r (a step from inside lands within 3r of the site)
-        from .geometry import mobility_step_m
+        from .geometry import associate, build_layout, mobility_step_m
         step_m = mobility_step_m(self.ue_speed_kmh, self.dt_s)
         if not step_m <= 2.0 * self.cell_radius_m:
             raise ConfigError(
                 f"ue_speed_kmh = {self.ue_speed_kmh} and step_ms = {self.step_ms} give "
                 f"a {step_m:g} m walk step, longer than 2 * cell_radius_m = "
                 f"{2.0 * self.cell_radius_m:g} m")
-        if not self.bandwidth_hz > 0:
-            raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        # an empty run-selection list would run nothing and exit 0
-        for name in ("m_list", "engines", "seeds"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be non-empty")
-        for m in self.m_list:
-            if m not in ALLOWED_M:
-                raise ConfigError(f"m_list entry {m} not in {ALLOWED_M}")
+        # a UE is dropped again until it lands nearer its own site, so site 1
+        # must win a point of its disk: halfway from the cell border to its edge
+        layout = build_layout(self)
+        if associate((layout.intersite_m + self.cell_radius_m) / 2, 0.0, layout) != 1:
+            raise ConfigError(
+                f"intersite_factor = {self.intersite_factor} and cell_radius_m = "
+                f"{self.cell_radius_m} put the sites too close to tell apart")
         if self.q == 0 and self.m_list != (1,):
             raise ConfigError("voice bearer (q=0) uses a single antenna: m_list must be (1,)")
         if self.q == 1 and 1 in self.m_list:
             raise ConfigError("data bearer (q=1) requires M > 1 in every m_list entry")
-        for e in self.engines:
-            if e not in ALLOWED_ENGINES:
-                raise ConfigError(f"unknown engine {e!r}, expected one of {ALLOWED_ENGINES}")
-        if not all(s >= 0 for s in self.seeds):
-            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
-        if not self.meas_per_step >= 0:
-            raise ConfigError(f"meas_per_step must be >= 0, got {self.meas_per_step}")
         for name in ("power_floor_dbm", "initial_power_dbm"):
             value = getattr(self, name)
             if value is not None and not value <= self.max_power_dbm:
                 raise ConfigError(f"{name} must be at most max_power_dbm, got "
                                   f"{value} > {self.max_power_dbm}")
-        if self.minibatch < 1:
-            raise ConfigError(f"minibatch must be >= 1, got {self.minibatch}")
         # a buffer that cannot hold a minibatch never trains
         if self.replay_capacity < self.minibatch:
             raise ConfigError(f"replay_capacity must be >= minibatch, got "
@@ -203,40 +212,20 @@ class NetworkConfig:
             raise ConfigError(
                 f"minibatch={self.minibatch} violates the width rule: "
                 f"sqrt(({N_ACTIONS}+2)*minibatch) is not a whole number")
-        if not 0 <= self.eps_min <= self.eps_initial <= 1:
-            raise ConfigError("need 0 <= eps_min <= eps_initial <= 1")
-        if not 0 < self.eps_decay <= 1:
-            raise ConfigError(f"eps_decay must be in (0, 1], got {self.eps_decay}")
-        if not 0 <= self.discount < 1:
-            raise ConfigError(f"discount must be in [0, 1), got {self.discount}")
+        if not self.eps_min <= self.eps_initial:
+            raise ConfigError(f"eps_min {self.eps_min} exceeds eps_initial {self.eps_initial}")
         if len(self.code_rate_betas) != len(self.code_rate_thresholds_db) + 1:
             raise ConfigError("code_rate_betas must have one more entry than thresholds")
         betas = self.code_rate_betas
         if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
             raise ConfigError("code_rate_betas must be non-decreasing")
-        if any(not (1.0 / 3.0 - 1e-12 <= b <= 1.0) for b in betas):
-            raise ConfigError("code rates must lie in [1/3, 1]")
         if any(t2 <= t1 for t1, t2 in
                zip(self.code_rate_thresholds_db, self.code_rate_thresholds_db[1:])):
             raise ConfigError("code_rate_thresholds_db must be strictly increasing")
-        if not self.oracle_power_grid:
-            raise ConfigError("oracle_power_grid must be non-empty")
         if any(p > self.max_power_dbm + 1e-9 for p in self.oracle_power_grid):
             raise ConfigError("oracle_power_grid may not exceed max_power_dbm")
-        if self.episode_cap < 1:
-            raise ConfigError(f"episode_cap must be >= 1, got {self.episode_cap}")
-        if self.frame_steps < 1:
-            raise ConfigError(f"frame_steps must be >= 1, got {self.frame_steps}")
-        if not 1 <= self.n_prb_ue <= self.n_prb_total:
-            raise ConfigError("need 1 <= n_prb_ue <= n_prb_total")
-        if not 0 <= self.voice_activity <= 1:
-            raise ConfigError(f"voice_activity must be in [0, 1], got {self.voice_activity}")
-        if not 0 < self.tabular_alpha <= 1:
-            raise ConfigError(f"tabular_alpha must be in (0, 1], got {self.tabular_alpha}")
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.tabular_bins < 1:
-            raise ConfigError(f"tabular_bins must be >= 1, got {self.tabular_bins}")
+        if not self.n_prb_ue <= self.n_prb_total:
+            raise ConfigError(f"n_prb_ue {self.n_prb_ue} exceeds n_prb_total {self.n_prb_total}")
 
     # ---- derived quantities ------------------------------------------------
 
@@ -330,17 +319,36 @@ def _kind(annotation):
 
 
 _FIELD_TYPES = {f.name: _kind(f.type) for f in dataclasses.fields(NetworkConfig)}
+# each key's own range, as declared beside its field with ``_ranged``
+_RANGES = {f.name: f.metadata["range"] for f in dataclasses.fields(NetworkConfig)
+           if "range" in f.metadata}
 
 
 def _as_kind(kind, value, key: str):
-    """``value`` as a float if a float field was given an int, else as is;
-    a float that is not finite raises ``ConfigError`` naming ``key``."""
+    """``value`` as a float if a float field was given an int, else as is; a
+    float that is not finite, or a bool or non-integer in an int field,
+    raises ``ConfigError`` naming ``key``."""
     if kind is float:
         if isinstance(value, int) and not isinstance(value, bool):
             return float(value)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+    elif kind is int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ConfigError(f"{key} takes integers, got {value!r}")
+        return int(value)
     return value
+
+
+def _check_range(key: str, value, bound) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` lies in ``bound``."""
+    entries = value if isinstance(value, tuple) else (value,)
+    if not entries:
+        raise ConfigError(f"{key} must be non-empty")
+    for v in entries:
+        if v not in bound:
+            within = "one of" if isinstance(bound, tuple) else "in"
+            raise ConfigError(f"{key} must be {within} {bound}, got {v!r}")
 
 
 def _parse_scalar(kind, token: str, key: str):

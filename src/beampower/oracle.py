@@ -34,7 +34,6 @@ class SearchSpace:
 class BruteForceResult:
     powers_dbm: tuple
     beams: tuple
-    objective_db: float          # sum over UEs of effective SINR (dB)
     eff_sinrs_db: tuple
     n_evaluated: int
 
@@ -61,6 +60,6 @@ def brute_force(channels: Sequence, space: SearchSpace, q: int,
         n_eval += 1
         if best is None or obj > best[0]:
             best = (obj, powers, beams, effs)
-    obj, powers, beams, effs = best
-    return BruteForceResult(powers_dbm=powers, beams=beams, objective_db=obj,
-                            eff_sinrs_db=effs, n_evaluated=n_eval)
+    _, powers, beams, effs = best
+    return BruteForceResult(powers_dbm=powers, beams=beams, eff_sinrs_db=effs,
+                            n_evaluated=n_eval)

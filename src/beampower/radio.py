@@ -63,8 +63,8 @@ def sinr_db(channels: Sequence, powers_dbm: Sequence[float], beams: Sequence[int
 class CodeRateMap:
     """SINR-indexed code rate beta; lower SINR picks a stronger code."""
 
-    thresholds_db: tuple = (0.0, 5.0)
-    betas: tuple = (1.0 / 3.0, 0.5, 1.0)
+    thresholds_db: tuple
+    betas: tuple
 
     @classmethod
     def from_config(cls, config: NetworkConfig) -> "CodeRateMap":
@@ -101,10 +101,8 @@ def effective_sinr_db(sinr: float, q: int, code_map: CodeRateMap) -> float:
 # transmit power control
 
 
-def fpa_power_dbm(n_prb_total: int, n_prb_ue: int, p_max_dbm: float = 46.0) -> float:
+def fpa_power_dbm(n_prb_total: int, n_prb_ue: int, p_max_dbm: float) -> float:
     """Fixed power allocation: an equal share of P_max per resource block."""
-    if not 1 <= n_prb_ue <= n_prb_total:
-        raise ValueError(f"need 1 <= n_prb_ue <= n_prb_total, got {n_prb_ue}/{n_prb_total}")
     return p_max_dbm - 10.0 * math.log10(n_prb_total) + 10.0 * math.log10(n_prb_ue)
 
 

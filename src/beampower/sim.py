@@ -404,7 +404,7 @@ def make_engine(name: str, config: NetworkConfig, env: TwoCellEnv, seed: int):
         cls = {"fpa": FpaEngine, "brute_force": BruteForceEngine,
                "dqn": DqnEngine, "tabular": TabularEngine}[name]
     except KeyError:
-        raise ConfigError(f"unknown engine {name!r}, expected one of {ALLOWED_ENGINES}")
+        raise ConfigError(f"engines must be one of {ALLOWED_ENGINES}, got {name!r}")
     return cls(config, env, seed)
 
 

@@ -21,7 +21,7 @@ from beampower.config import NetworkConfig
 
 
 def _net(seed=0) -> QNetwork:
-    return QNetwork.initialize(np.random.default_rng(seed))
+    return QNetwork.initialize(np.random.default_rng(seed), NetworkConfig().net_width)
 
 
 def _params(net: QNetwork) -> list:

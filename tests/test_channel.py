@@ -53,14 +53,20 @@ def test_steering_vector_matches_direct_formula_bit_for_bit():
         steering_vector(0.0, 0)
 
 
+def _codebook(m: int):
+    """The codebook of the configured element spacing and beam centring."""
+    cfg = NetworkConfig()
+    return build_codebook(m, cfg.d_over_lambda, cfg.codebook_centered)
+
+
 def test_codebook_layout():
-    cb = build_codebook(4)
+    # centred bins put beam n at (n + 1/2)*pi/M, edge-aligned ones at n*pi/M
+    cb = _codebook(4)
     assert len(cb) == 4
-    assert cb.angles == pytest.approx([(n + 0.5) * math.pi / 4 for n in range(4)])
-    edge = build_codebook(4, centered=False)
-    assert edge.angles == pytest.approx([n * math.pi / 4 for n in range(4)])
+    edge = build_codebook(4, NetworkConfig().d_over_lambda, False)
     for n in range(4):
-        assert cb.beam(n) == pytest.approx(steering_vector(cb.angles[n], 4))
+        assert cb.beam(n) == pytest.approx(steering_vector((n + 0.5) * math.pi / 4, 4))
+        assert edge.beam(n) == pytest.approx(steering_vector(n * math.pi / 4, 4))
         assert np.array_equal(cb.beam(n), cb.beams[n])
         assert np.array_equal(edge.beam(n), edge.beams[n])
 
@@ -101,8 +107,9 @@ def test_shadowing_only_with_rng():
 
 
 def test_noise_power_values():
-    assert noise_power_dbm(180e3) == pytest.approx(-112.4473, abs=1e-3)
-    assert noise_power_dbm(100e6) == pytest.approx(-85.0, abs=1e-9)
+    nf_db = NetworkConfig().noise_figure_db
+    assert noise_power_dbm(180e3, nf_db) == pytest.approx(-112.4473, abs=1e-3)
+    assert noise_power_dbm(100e6, nf_db) == pytest.approx(-85.0, abs=1e-9)
 
 
 def test_bearing_reflects_into_upper_half():
@@ -128,10 +135,10 @@ def test_direct_path_matches_its_codebook_beam():
     # one-path channel at a bin-center angle peaks at that bin's beam
     model = _data_model()
     for m in (4, 8, 16):
-        cb = build_codebook(m)
+        cb = _codebook(m)
         site = BsSite(id=0, x=0.0, y=0.0)
         for n in range(m):
-            theta = cb.angles[n]
+            theta = (n + 0.5) * math.pi / m
             fad = LinkFading(los=True, gains=np.array([1.0 + 0.0j]),
                              aods=np.array([theta]), shadow_db=0.0)
             x, y = 100.0 * math.cos(theta), 100.0 * math.sin(theta)
@@ -144,7 +151,7 @@ def test_beam_gain_bounded_by_channel_norm():
     model = _data_model()
     rng = np.random.default_rng(13)
     site = BsSite(id=0, x=0.0, y=0.0)
-    cb = build_codebook(8)
+    cb = _codebook(8)
     for _ in range(100):
         ch = sample_channel(model, site, rng.uniform(10, 150), rng.uniform(-50, 50),
                             8, rng)

@@ -50,6 +50,7 @@ def test_run_cli_overrides_replace_config_lists(tmp_path):
 @pytest.mark.parametrize("option, value, named", [
     ("--episodes", "0", "episode_cap"),
     ("--engines", "", "--engines"), ("--m", "", "--m"), ("--seeds", "", "--seeds"),
+    ("--engines", "fpa,,x", "engines"),
 ])
 def test_a_cli_override_of_0_or_empty_is_applied(tmp_path, capsys, option, value,
                                                  named):

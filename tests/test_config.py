@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beampower import cli
-from beampower.config import _FIELD_TYPES, ALLOWED_M, ConfigError, NetworkConfig
+from beampower.config import _FIELD_TYPES, _RANGES, ConfigError, NetworkConfig
 from beampower.sim import TwoCellEnv, make_engine, run_experiment, trace_rows
 
 SRC = Path(cli.__file__).resolve().parent
@@ -99,6 +99,8 @@ def test_removed_key_in_a_config_is_a_config_error(tmp_path, capsys, line):
     # accepted, each running nothing: no job, or a dqn that never trains
     # because its buffer cannot hold a minibatch (32)
     ("engines", ""), ("m_list", ""), ("replay_capacity", 8),
+    # an unknown engine
+    ("engines", "genie"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, key, value):
     # the voice bearer already rejects an m_list other than (1,), so an empty
@@ -129,11 +131,17 @@ def _not_finite(key, value):
     ("meas_per_step", -1), ("power_floor_dbm", 50.0),
     # (16 + 2) * 16 is not a square, so no hidden width fits the rule
     ("minibatch", 16),
+    # an int key given a bool or a value that is not an integer: a float
+    # frame_steps or episode_cap failed the run with a TypeError, and a float
+    # n_paths_nlos or tabular_bins wrote a trace header that does not load
+    ("frame_steps", 2.5), ("episode_cap", 1.5), ("n_paths_nlos", 2.5),
+    ("tabular_bins", 2.5), ("frame_steps", 2.0), ("q", True), ("m_list", (True,)),
+    ("seeds", (1.5,)),
 ])
 def test_invalid_setting_is_a_config_error_naming_the_key(key, value):
     # built in code only, so a gap fails here rather than hanging a run
     with pytest.raises(ConfigError, match=key):
-        NetworkConfig(q=0, **{key: value})
+        NetworkConfig(**{"q": 0, key: value})
 
 
 def test_the_minibatch_fixes_the_hidden_width():
@@ -161,43 +169,51 @@ def test_removed_key_in_a_trace_header_is_a_config_error(tmp_path, capsys):
         assert name in capsys.readouterr().err
 
 
-@st.composite
-def _config_kwargs(draw) -> dict:
-    """NetworkConfig keyword arguments over the bearer, the run matrix, the
-    walk and the power levels; many of them out of range."""
-    def either(edges, low, high):
-        return st.one_of(st.sampled_from(edges), st.floats(low, high))
+def _range_ends(key: str, q: int) -> list:
+    """``(value, inside)`` pairs just inside and just outside each finite end
+    of ``key``'s declared range, on bearer ``q``: a float end moves by
+    ``math.nextafter``, an int end by 1, and a set of allowed values has each
+    member inside and one non-member outside.  A list key takes the value in
+    place of its default's first entry (last, at the top end), and an empty
+    list lies outside."""
+    bound, kind = _RANGES[key], _FIELD_TYPES[key]
+    listed = isinstance(kind, tuple)
+    default = getattr(NetworkConfig(q=q), key)
 
-    q = draw(st.sampled_from((0, 1)))
-    powers = st.one_of(st.none(), either((0.0, 46.0, 50.0), -20.0, 60.0))
-    return {
-        "q": q,
-        # hypothesis leans to a list's first entry: make it a valid M, and
-        # let a few voice draws take M = 4, which q=0 rejects
-        "m_list": (draw(st.sampled_from((8, 4, 16, 64, 32, 1) if q else (1, 1, 1, 4))),),
-        "seeds": tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3))),
-        "episode_cap": draw(st.integers(1, 5)),
-        "frame_steps": draw(st.integers(1, 3)),
-        "p_los": draw(either((0.0, 1.0), 0.0, 1.0)),
-        "ue_speed_kmh": draw(either((2000.0, 1000.0, 2.0, 0.0), 0.0, 2000.0)),
-        "step_ms": draw(either((1000.0, 1.0, 0.5), 0.5, 1000.0)),
-        "power_floor_dbm": draw(powers),
-        "initial_power_dbm": draw(powers),
-        # the width rule accepts a minibatch whose (16 + 2) * minibatch is a
-        # square: all of these but 16
-        "minibatch": draw(st.sampled_from((2, 8, 16, 18, 32, 50))),
-    }
+    def put(value, at=0):
+        if not listed:
+            return value
+        entries = list(default)
+        entries[at] = value
+        return tuple(entries)
+
+    if isinstance(bound, tuple):
+        outsider = bound[-1] * 2            # 2, 128, or an engine name twice
+        assert outsider not in bound
+        cases = [(put(v), True) for v in bound] + [(put(outsider), False)]
+    else:
+        if (kind[0] if listed else kind) is int:
+            def step(x, way):
+                return x + way
+        else:
+            def step(x, way):
+                return math.nextafter(x, way * math.inf)
+        cases = []
+        for end, at, inward, is_open in ((bound.low, 0, 1, bound.ends[0] == "("),
+                                         (bound.high, -1, -1, bound.ends[1] == ")")):
+            if math.isfinite(end):
+                inner, outer = (step(end, inward), end) if is_open else (end, step(end, -inward))
+                cases += [(put(inner, at), True), (put(outer, at), False)]
+    return cases + [((), False)] if listed else cases
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(_config_kwargs())
-def test_every_accepted_config_round_trips_and_walks_inside_its_cells(kw):
-    try:
-        cfg = NetworkConfig(**kw)
-    except ConfigError as exc:
-        # a rejection names one of the keys drawn
-        assert any(re.search(rf"\b{key}\b", str(exc)) for key in kw), str(exc)
-        return
+def _names(key: str, message: str) -> bool:
+    return re.search(rf"\b{key}\b", message) is not None
+
+
+def _check_round_trip_and_walk(cfg: NetworkConfig) -> None:
+    """``cfg`` reads back from its text with its hash, and its walk keeps
+    both UEs inside their cells."""
     assert cfg.net_width ** 2 == 18 * cfg.minibatch
     back = NetworkConfig.from_text(cfg.to_text())
     assert back == cfg
@@ -209,3 +225,63 @@ def test_every_accepted_config_round_trips_and_walks_inside_its_cells(kw):
         for k in range(env.t_steps + 1):
             for site, (x, y) in zip(env.layout.sites, env.positions(k)):
                 assert math.hypot(x - site.x, y - site.y) <= r + 1e-9
+
+
+@pytest.mark.parametrize("q, key, value, inside", [
+    (q, key, value, inside) for key in _RANGES for q in (0, 1)
+    for value, inside in _range_ends(key, q)])
+def test_each_end_of_a_declared_range_is_checked_naming_its_key(q, key, value, inside):
+    kw = {"q": q, key: value}
+    if not inside:
+        with pytest.raises(ConfigError) as exc:
+            NetworkConfig(**kw)
+        assert _names(key, str(exc.value)), str(exc.value)
+        return
+    try:
+        cfg = NetworkConfig(**kw)
+    except ConfigError as exc:
+        # only a rule that ties the key to another may reject it, naming it
+        assert _names(key, str(exc)), str(exc)
+        assert not re.match(rf"{key} must be (in|one of) ", str(exc)), str(exc)
+        return
+    _check_round_trip_and_walk(cfg)
+
+
+@st.composite
+def _config_kwargs(draw) -> tuple:
+    """NetworkConfig keyword arguments over the bearer, the walk and the
+    power levels, with up to three keys each at one end of its declared
+    range, and the keys whose value lies outside their range."""
+    def either(edges, low, high):
+        return st.one_of(st.sampled_from(edges), st.floats(low, high))
+
+    q = draw(st.sampled_from((0, 1)))
+    powers = st.one_of(st.none(), either((0.0, 46.0, 50.0), -20.0, 60.0))
+    kw = {
+        "q": q,
+        "ue_speed_kmh": draw(either((2000.0, 1000.0, 2.0, 0.0), 0.0, 2000.0)),
+        "step_ms": draw(either((1000.0, 1.0, 0.5), 0.5, 1000.0)),
+        "power_floor_dbm": draw(powers),
+        "initial_power_dbm": draw(powers),
+    }
+    outside = set()
+    for key in draw(st.lists(st.sampled_from(sorted(_RANGES)), max_size=3, unique=True)):
+        kw[key], inside = draw(st.sampled_from(_range_ends(key, q)))
+        if not inside:
+            outside.add(key)
+    return kw, outside
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_config_kwargs())
+def test_every_accepted_config_round_trips_and_walks_inside_its_cells(drawn):
+    kw, outside = drawn
+    try:
+        cfg = NetworkConfig(**kw)
+    except ConfigError as exc:
+        # a rejection names a key drawn outside its range if there is one,
+        # else one of the keys drawn
+        assert any(_names(key, str(exc)) for key in outside or kw), str(exc)
+        return
+    assert not outside
+    _check_round_trip_and_walk(cfg)

@@ -51,7 +51,8 @@ def _chan(amp: float) -> np.ndarray:
 def _two_cell(p0=40.0, p1=40.0) -> tuple:
     """The leading ``sinr_db`` arguments of a hand-sized single-antenna
     two-cell step with known gains."""
-    cb = build_codebook(1)
+    cfg = NetworkConfig()
+    cb = build_codebook(1, cfg.d_over_lambda, cfg.codebook_centered)
     # channels[ue][bs]: serving power gain 1, cross power gain 0.1
     serve, cross = _chan(1.0), _chan(0.31622776601683794)
     channels = [[serve, cross], [cross, serve]]
@@ -105,9 +106,10 @@ def test_effective_sinr_adds_repetition_gain():
 
 
 def test_fpa_share():
-    assert fpa_power_dbm(100, 10) == pytest.approx(36.0)
-    assert fpa_power_dbm(100, 1) == pytest.approx(26.0)
-    assert fpa_power_dbm(100, 100) == pytest.approx(46.0)
+    p_max = NetworkConfig().max_power_dbm
+    assert fpa_power_dbm(100, 10, p_max) == pytest.approx(36.0)
+    assert fpa_power_dbm(100, 1, p_max) == pytest.approx(26.0)
+    assert fpa_power_dbm(100, 100, p_max) == pytest.approx(46.0)
 
 
 def test_power_command_clamps():
