@@ -80,8 +80,7 @@ class NetworkConfig:
 
     # radio
     max_power_dbm: float = 46.0
-    # no path-loss model means anything below 1 MHz
-    carrier_mhz: float | None = _ranged(None, Interval(1, math.inf, "[)"))
+    carrier_mhz: float | None = _ranged(None, _POSITIVE)
     tx_gain_dbi: float | None = None
     ue_gain_dbi: float = 0.0
     p_los: float | None = _ranged(None, Interval(0, 1))
