@@ -219,7 +219,7 @@ def _check_round_trip_and_walk(cfg: NetworkConfig) -> None:
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
     if cfg.q == 1 and cfg.carrier_mhz / 1e3 == 0:
-        # a known defect: a carrier below about 5e-321 MHz is accepted, but
+        # a known defect: a carrier below about 2.5e-321 MHz is accepted, but
         # the close-in path loss takes the log of carrier_mhz / 1e3, which
         # underflows to 0; this fails once the config or the model mends it
         with pytest.raises(ValueError, match="math domain error"):
