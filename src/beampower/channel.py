@@ -35,7 +35,7 @@ from .config import NetworkConfig
 from .geometry import BsSite
 
 
-def steering_vector(theta: float, m: int, d_over_lambda: float = 0.5) -> np.ndarray:
+def steering_vector(theta: float, m: int, d_over_lambda: float) -> np.ndarray:
     """ULA steering vector, entries exp(j*2*pi*d/lambda*m*cos(theta))/sqrt(M).
 
     :param theta: departure angle in radians, measured from the array axis

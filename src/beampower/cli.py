@@ -247,12 +247,14 @@ def _check(name: str, ok: bool, failures: list) -> None:
 
 def cmd_verify(args) -> int:
     failures: list[str] = []
+    defaults = NetworkConfig()
 
     # fast numeric properties
     ok = True
     for m in (1, 4, 8):
         for theta in np.linspace(0, np.pi, 7):
-            ok &= abs(np.linalg.norm(steering_vector(theta, m)) - 1.0) < 1e-12
+            v = steering_vector(theta, m, defaults.d_over_lambda)
+            ok &= abs(np.linalg.norm(v) - 1.0) < 1e-12
     _check("steering vectors unit norm", ok, failures)
 
     _check("each bearer's register commands distinct",
@@ -262,8 +264,8 @@ def cmd_verify(args) -> int:
     p = 40.0
     ok = True
     for _ in range(1000):
-        p = apply_power_cmd(p, float(rng.choice([-3, -1, 1, 3])))
-        ok &= p <= 46.0
+        p = apply_power_cmd(p, float(rng.choice([-3, -1, 1, 3])), defaults.max_power_dbm)
+        ok &= p <= defaults.max_power_dbm
     _check("power ceiling honoured", ok, failures)
 
     curve = sim.ccdf(rng.normal(size=500))

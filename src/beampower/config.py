@@ -325,10 +325,12 @@ _RANGES = {f.name: f.metadata["range"] for f in dataclasses.fields(NetworkConfig
 
 def _as_kind(kind, value, key: str):
     """``value`` as a float if a float field was given an int, else as is; a
-    float that is not finite, or a bool or non-integer in an int field,
-    raises ``ConfigError`` naming ``key``."""
+    float that is not finite, a bool in a float or int field, or a
+    non-integer in an int field, raises ``ConfigError`` naming ``key``."""
     if kind is float:
-        if isinstance(value, int) and not isinstance(value, bool):
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} takes numbers, got {value!r}")
+        if isinstance(value, int):
             return float(value)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")

@@ -106,7 +106,7 @@ def fpa_power_dbm(n_prb_total: int, n_prb_ue: int, p_max_dbm: float) -> float:
     return p_max_dbm - 10.0 * math.log10(n_prb_total) + 10.0 * math.log10(n_prb_ue)
 
 
-def apply_power_cmd(p_dbm: float, delta_db: float, p_max_dbm: float = 46.0,
+def apply_power_cmd(p_dbm: float, delta_db: float, p_max_dbm: float,
                     p_floor_dbm: float | None = None) -> float:
     """Apply a power command, clamped at P_max (and optionally floored)."""
     p = min(p_max_dbm, p_dbm + delta_db)

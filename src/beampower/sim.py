@@ -27,13 +27,13 @@ Conventions
   distance, a path-loss term and a scale per link, plus one exponential
   shared by the LOS links.
 * An episode keeps its steps in one flat ``array('d')``, its step log:
-  ``LOG_WIDTH`` floats per step, in ``LOG_COLUMNS`` order, and row k is step
-  t = k.  A step without an action stores -1 and a step without a loss NaN;
-  a loss that is not finite raises ``TrainingDiverged``, so NaN never stands
-  for a real one.  Every number in the log is the float the step computed,
-  so traces and summaries read from it are those of the step values.
-  ``EpisodeResult.steps`` builds one ``StepRecord`` per step from the log on
-  each access; the program itself reads the log.
+  ``LOG_WIDTH`` floats per step, and row k is step t = k.  ``LOG_COLUMNS``
+  gives the columns' order, and each one's trace name and text both ways.
+  A step without an action stores -1 and a step without a loss NaN; a loss
+  that is not finite raises ``TrainingDiverged``, so NaN never stands for a
+  real one.  Every number in the log is the float the step computed, so
+  traces and summaries read from it are those of the step values.  Only the
+  benchmark's fingerprint reads ``EpisodeResult.steps`` (``StepRecord``s).
 * A trace reads back as its run: ``read_trace`` parses each row straight
   into its episode's log and rebuilds the ``RunResult``, judging each
   episode's ending by ``episode_ending`` as ``run_episode`` does, with every
@@ -44,8 +44,10 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 import time
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -82,31 +84,44 @@ class StepRecord(NamedTuple):
     loss: float | None
 
 
-# the columns of an episode's step log; the names are the trace's
-LOG_COLUMNS = ("action", "reward", "sinr_ell_db", "sinr_b_db",
-               "eff_sinr_ell_db", "eff_sinr_b_db", "p_ell_dbm", "p_b_dbm",
-               "beam_ell", "beam_b", "loss")
+# an episode's step log, column by column in trace order: (trace name, text
+# of a value, value of a text); a float's ``repr`` reads back as that float
+_FLOAT = (repr, float)
+_BEAM = (lambda n: str(int(n)), int)
+LOG_COLUMNS = (
+    ("action_hex", lambda a: "" if a < 0 else format(int(a), "x"),
+     lambda text: int(text, 16) if text else _NO_ACTION),
+    ("p_ell_dbm", *_FLOAT), ("p_b_dbm", *_FLOAT),
+    ("beam_ell", *_BEAM), ("beam_b", *_BEAM),
+    ("sinr_ell_db", *_FLOAT), ("sinr_b_db", *_FLOAT),
+    ("eff_sinr_ell_db", *_FLOAT), ("eff_sinr_b_db", *_FLOAT),
+    ("reward", *_FLOAT),
+    ("loss", lambda x: "" if math.isnan(x) else repr(x),
+     lambda text: float(text) if text else _NO_LOSS),
+)
 LOG_WIDTH = len(LOG_COLUMNS)
-_REWARD = LOG_COLUMNS.index("reward")
-_EFF = LOG_COLUMNS.index("eff_sinr_ell_db")     # then eff_sinr_b_db
-_NO_ACTION = -1.0
-_NO_LOSS = math.nan
+_NO_ACTION, _NO_LOSS = -1.0, math.nan      # stored for no action, no loss
+_LOG_NAMES = tuple(name for name, _, _ in LOG_COLUMNS)
+_REWARD = _LOG_NAMES.index("reward")
+_EFF = _LOG_NAMES.index("eff_sinr_ell_db")     # then eff_sinr_b_db
+_call = getattr(operator, "call", lambda f, x: f(x))  # operator.call: Python 3.11+
 
 
+def _eff_sinr_pairs(log: array) -> list[tuple]:
+    """Each step's (l, b) effective SINRs in a step log."""
+    return list(zip(log[_EFF::LOG_WIDTH], log[_EFF + 1::LOG_WIDTH]))
+
+
+@dataclass(slots=True)
 class EpisodeResult:
     """One episode: its step log (see the module notes) and how it ended."""
 
-    __slots__ = ("index", "log", "converged", "aborted", "wall_time_s",
-                 "decision_time_s")
-
-    def __init__(self, index: int, log: array, converged: bool, aborted: bool,
-                 wall_time_s: float, decision_time_s: float):
-        self.index = index
-        self.log = log
-        self.converged = converged
-        self.aborted = aborted
-        self.wall_time_s = wall_time_s
-        self.decision_time_s = decision_time_s
+    index: int
+    log: array
+    converged: bool
+    aborted: bool
+    wall_time_s: float
+    decision_time_s: float
 
     @property
     def n_steps(self) -> int:
@@ -114,11 +129,11 @@ class EpisodeResult:
 
     @property
     def steps(self) -> list[StepRecord]:
-        """The steps as records, built from the log on each access."""
+        """The steps as records; only the benchmark's fingerprint reads them."""
         log, w = self.log, LOG_WIDTH
         records = []
         for t in range(self.n_steps):
-            a, r, g_ell, g_b, e_ell, e_b, p_ell, p_b, n_ell, n_b, loss = log[t * w:t * w + w]
+            a, p_ell, p_b, n_ell, n_b, g_ell, g_b, e_ell, e_b, r, loss = log[t * w:t * w + w]
             records.append(StepRecord(
                 t=t, action=None if a < 0 else int(a), reward=r,
                 sinr_db=(g_ell, g_b), eff_sinr_db=(e_ell, e_b),
@@ -134,8 +149,7 @@ class EpisodeResult:
         return [g for pair in self.eff_sinr_pairs() for g in pair]
 
     def eff_sinr_pairs(self) -> list[tuple]:
-        log = self.log
-        return list(zip(log[_EFF::LOG_WIDTH], log[_EFF + 1::LOG_WIDTH]))
+        return _eff_sinr_pairs(self.log)
 
 
 class TwoCellEnv:
@@ -418,7 +432,7 @@ def episode_ending(log: array, frame_steps: int, gamma_target_db: float,
     its last step left a UE's effective SINR below ``gamma_min_db``, and it
     converged when it ran all ``frame_steps`` steps with every UE at
     ``gamma_target_db`` or above at each."""
-    effs = list(zip(log[_EFF::LOG_WIDTH], log[_EFF + 1::LOG_WIDTH]))
+    effs = _eff_sinr_pairs(log)
     aborted = min(effs[-1]) < gamma_min_db
     converged = (not aborted and len(effs) == frame_steps
                  and all(e_ell >= gamma_target_db and e_b >= gamma_target_db
@@ -477,10 +491,8 @@ def run_episode(env: TwoCellEnv, engine) -> EpisodeResult:
             loss = engine.learn(s, a, r, s_next)
             decision_s += time.perf_counter() - t0
             s = s_next
-        powers, beams = env.powers_dbm, env.beams
-        log += (_NO_ACTION if a is None else a, r, g_ell, g_b, eff_ell, eff_b,
-                powers[IDX_ELL], powers[IDX_B], beams[IDX_ELL], beams[IDX_B],
-                _NO_LOSS if loss is None else loss)
+        log += (_NO_ACTION if a is None else a, *env.powers_dbm, *env.beams,
+                g_ell, g_b, eff_ell, eff_b, r, _NO_LOSS if loss is None else loss)
         if abort:
             break
 
@@ -616,10 +628,7 @@ def backhaul_messages_per_episode(config: NetworkConfig) -> int:
 # ---------------------------------------------------------------------------
 # CSV traces
 
-TRACE_COLUMNS = ("t", "engine", "q", "m", "seed", "episode", "action_hex",
-                 "p_ell_dbm", "p_b_dbm", "beam_ell", "beam_b",
-                 "sinr_ell_db", "sinr_b_db", "eff_sinr_ell_db", "eff_sinr_b_db",
-                 "reward", "loss")
+TRACE_COLUMNS = ("t", "engine", "q", "m", "seed", "episode", *_LOG_NAMES)
 
 SUMMARY_COLUMNS = ("engine", "m", "seed", "q", "episodes", "steps", "zeta",
                    "converged", "aborted_episodes", "best_episode",
@@ -634,8 +643,8 @@ TRACE_VERSION = "# beampower trace v2"
 
 
 def fmt(v) -> str:
-    """The text of a value in every output file; ``repr`` reads back as the
-    same float, so a summary recomputed from a trace equals the run's own."""
+    """A value's text in the output files, trace step columns aside; ``repr``
+    reads back as the same float, so a recomputed summary equals the run's."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -662,18 +671,12 @@ def trace_header(config_text: str, layout: Layout) -> str:
 
 def trace_rows(run: RunResult, config: NetworkConfig) -> list[str]:
     rows = []
-    w = LOG_WIDTH
+    w, writers = LOG_WIDTH, [write for _, write, _ in LOG_COLUMNS]
     for ep in run.episodes:
         run_cols = f"{run.engine},{config.q},{run.m},{run.seed},{ep.index}"
-        log = ep.log
         for t in range(ep.n_steps):
-            a, r, g_ell, g_b, e_ell, e_b, p_ell, p_b, n_ell, n_b, loss = log[t * w:t * w + w]
-            rows.append(",".join([
-                str(t), run_cols, "" if a < 0 else format(int(a), "x"),
-                fmt(p_ell), fmt(p_b), str(int(n_ell)), str(int(n_b)),
-                fmt(g_ell), fmt(g_b), fmt(e_ell), fmt(e_b),
-                fmt(r), "" if math.isnan(loss) else fmt(loss),
-            ]))
+            rows.append(",".join([str(t), run_cols,
+                                  *map(_call, writers, ep.log[t * w:t * w + w])]))
     return rows
 
 
@@ -707,42 +710,35 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
                     raise ValueError(f"unexpected trace columns in {path}")
                 break
         config = NetworkConfig.from_text("\n".join(cfg_lines))
-        logs: dict[int, array] = {}
+        readers, n_fields = [read for _, _, read in LOG_COLUMNS], len(TRACE_COLUMNS)
+        logs: dict[int, array] = defaultdict(lambda: array("d"))
         key = None               # (engine, q, m, seed) text of the first row
         for lineno, raw in enumerate(fh, lineno + 1):
-            vals = raw.rstrip("\n").split(",")
-            if vals == [""] or vals[0].startswith("#"):
+            if raw == "\n" or raw.startswith("#"):
                 continue
-            where = f"{path} line {lineno}"
-            if len(vals) != len(TRACE_COLUMNS):
-                raise ValueError(f"{where}: expected {len(TRACE_COLUMNS)} fields, "
+            vals = raw.rstrip("\n").split(",")
+            if len(vals) != n_fields:
+                raise ValueError(f"{path} line {lineno}: expected {n_fields} fields, "
                                  f"found {len(vals)}")
-            (t, _, _, _, _, ep, a_hex, p_ell, p_b, n_ell, n_b,
-             g_ell, g_b, e_ell, e_b, r, loss) = vals
             try:
-                t, ep = int(t), int(ep)
-                step = (int(a_hex, 16) if a_hex else _NO_ACTION, float(r),
-                        float(g_ell), float(g_b), float(e_ell), float(e_b),
-                        float(p_ell), float(p_b), int(n_ell), int(n_b),
-                        float(loss) if loss else _NO_LOSS)
+                t, ep = int(vals[0]), int(vals[5])
+                step = list(map(_call, readers, vals[6:]))
                 if key is None:
                     key, key_line = vals[1:5], lineno
                     q, m, seed = map(int, key[1:])
             except ValueError as exc:
-                raise ValueError(f"{where}: expected a number in every step "
-                                 f"column, {exc}") from None
+                raise ValueError(f"{path} line {lineno}: expected a number in every "
+                                 f"step column, {exc}") from None
             if vals[1:5] != key:
-                raise ValueError(f"{where}: expected engine,q,m,seed = "
+                raise ValueError(f"{path} line {lineno}: expected engine,q,m,seed = "
                                  f"{','.join(key)} as on line {key_line}, found "
                                  f"{','.join(vals[1:5])}")
-            log = logs.get(ep)
-            if log is None:
-                log = logs[ep] = array("d")
+            log = logs[ep]
             # t is the step's position in its episode's log
             if t != len(log) // LOG_WIDTH:
-                raise ValueError(f"{where}: episode {ep} has a step t = {t} where "
-                                 f"t = {len(log) // LOG_WIDTH} belongs")
-            log.extend(step)
+                raise ValueError(f"{path} line {lineno}: episode {ep} has a step t = "
+                                 f"{t} where t = {len(log) // LOG_WIDTH} belongs")
+            log.fromlist(step)
     if key is None:
         return config, None
     if q != config.q or m not in config.m_list:
@@ -751,8 +747,7 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
                          f"q = {q}, M = {m}")
     gamma_target, gamma_min = config.gamma_target_db(m), config.gamma_min_db
     episodes = []
-    for idx in sorted(logs):
-        log = logs[idx]
+    for idx, log in sorted(logs.items()):
         aborted, converged = episode_ending(log, config.frame_steps, gamma_target,
                                             gamma_min)
         episodes.append(EpisodeResult(index=idx, log=log, converged=converged,

@@ -91,8 +91,7 @@ def _per_step_decision_time(engine: str, m: int, episodes: int) -> float:
     cfg = NetworkConfig(q=1, engines=(engine,), seeds=(1,),
                         episode_cap=episodes, m_list=(m,))
     run = run_experiment(cfg, m, 1, engine, stop_on_convergence=False)
-    steps = sum(len(e.steps) for e in run.episodes)
-    return run.decision_time_s / steps
+    return run.decision_time_s / run.steps_total
 
 
 def test_acceptance_runtime_ratio():
@@ -300,8 +299,10 @@ def test_acceptance_convergence_trend(converged_episodes):
 
 def test_acceptance_property_suite():
     checks = []
+    defaults = NetworkConfig()
 
-    ok = all(abs(np.linalg.norm(steering_vector(theta, m)) - 1.0) < 1e-12
+    ok = all(abs(np.linalg.norm(steering_vector(theta, m, defaults.d_over_lambda))
+                 - 1.0) < 1e-12
              for m in (1, 2, 4, 8, 16, 32, 64)
              for theta in np.linspace(0.0, np.pi, 17))
     checks.append(("steering unit norm", ok))
@@ -387,7 +388,7 @@ def test_acceptance_property_suite():
     p = 40.0
     ok = True
     for c in cmds:
-        p = apply_power_cmd(p, c)
+        p = apply_power_cmd(p, c, defaults.max_power_dbm)
         ok &= p <= 46.0
     checks.append(("power ceiling", ok))
 

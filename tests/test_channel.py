@@ -23,21 +23,22 @@ from beampower.sim import TwoCellEnv
 from channel_draws import sample_channel
 
 ARRAY_SIZES = (1, 2, 4, 8, 16, 32, 64)
+_D_OVER_LAMBDA = NetworkConfig().d_over_lambda
 
 
 def test_steering_unit_norm():
     for m in ARRAY_SIZES:
         for theta in np.linspace(0.0, math.pi, 17):
-            v = steering_vector(theta, m)
+            v = steering_vector(theta, m, _D_OVER_LAMBDA)
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_steering_known_entries():
     # broadside-endfire M=2: cos(0)=1 gives phases 0 and pi
-    v = steering_vector(0.0, 2)
+    v = steering_vector(0.0, 2, _D_OVER_LAMBDA)
     assert v == pytest.approx(np.array([1.0, -1.0]) / math.sqrt(2.0))
     # M=4 at 60 degrees: phase step pi/2 per element
-    v4 = steering_vector(math.pi / 3.0, 4)
+    v4 = steering_vector(math.pi / 3.0, 4, _D_OVER_LAMBDA)
     assert v4 == pytest.approx(np.array([1.0, 1j, -1.0, -1j]) / 2.0)
 
 
@@ -50,7 +51,7 @@ def test_steering_vector_matches_direct_formula_bit_for_bit():
                 direct = np.exp(1j * kd * np.arange(m) * math.cos(theta)) / math.sqrt(m)
                 assert np.array_equal(steering_vector(theta, m, d_over_lambda), direct)
     with pytest.raises(ValueError):
-        steering_vector(0.0, 0)
+        steering_vector(0.0, 0, _D_OVER_LAMBDA)
 
 
 def _codebook(m: int):
@@ -65,8 +66,10 @@ def test_codebook_layout():
     assert len(cb) == 4
     edge = build_codebook(4, NetworkConfig().d_over_lambda, False)
     for n in range(4):
-        assert cb.beam(n) == pytest.approx(steering_vector((n + 0.5) * math.pi / 4, 4))
-        assert edge.beam(n) == pytest.approx(steering_vector(n * math.pi / 4, 4))
+        assert cb.beam(n) == pytest.approx(
+            steering_vector((n + 0.5) * math.pi / 4, 4, _D_OVER_LAMBDA))
+        assert edge.beam(n) == pytest.approx(
+            steering_vector(n * math.pi / 4, 4, _D_OVER_LAMBDA))
         assert np.array_equal(cb.beam(n), cb.beams[n])
         assert np.array_equal(edge.beam(n), edge.beams[n])
 

@@ -137,6 +137,8 @@ def _not_finite(key, value):
     ("frame_steps", 2.5), ("episode_cap", 1.5), ("n_paths_nlos", 2.5),
     ("tabular_bins", 2.5), ("frame_steps", 2.0), ("q", True), ("m_list", (True,)),
     ("seeds", (1.5,)),
+    # a float key given a bool wrote a header line ("= true") that does not load
+    ("max_power_dbm", True), ("r_max", False), ("oracle_power_grid", (True, 46.0)),
 ])
 def test_invalid_setting_is_a_config_error_naming_the_key(key, value):
     # built in code only, so a gap fails here rather than hanging a run

@@ -113,18 +113,20 @@ def test_fpa_share():
 
 
 def test_power_command_clamps():
-    assert apply_power_cmd(45.5, 1.0) == 46.0
-    assert apply_power_cmd(46.0, 3.0) == 46.0
-    assert apply_power_cmd(44.0, -3.0) == 41.0
-    assert apply_power_cmd(1.0, -3.0, p_floor_dbm=0.0) == 0.0
-    assert apply_power_cmd(1.0, -3.0, p_floor_dbm=None) == -2.0
+    p_max = NetworkConfig().max_power_dbm
+    assert apply_power_cmd(45.5, 1.0, p_max) == 46.0
+    assert apply_power_cmd(46.0, 3.0, p_max) == 46.0
+    assert apply_power_cmd(44.0, -3.0, p_max) == 41.0
+    assert apply_power_cmd(1.0, -3.0, p_max, p_floor_dbm=0.0) == 0.0
+    assert apply_power_cmd(1.0, -3.0, p_max, p_floor_dbm=None) == -2.0
 
 
 def test_power_never_exceeds_ceiling_under_random_commands():
     rng = np.random.default_rng(8)
     p = 46.0
     for _ in range(10_000):
-        p = apply_power_cmd(p, rng.choice((-3.0, -1.0, 1.0, 3.0)), p_floor_dbm=0.0)
+        p = apply_power_cmd(p, rng.choice((-3.0, -1.0, 1.0, 3.0)),
+                            NetworkConfig().max_power_dbm, p_floor_dbm=0.0)
         assert 0.0 <= p <= 46.0
 
 

@@ -195,13 +195,26 @@ def _token(v) -> str:
     return repr(v)
 
 
+def _steps(ep) -> list[dict]:
+    """Each step of an episode's log as {column name: value}."""
+    names, w = [name for name, _, _ in sim.LOG_COLUMNS], sim.LOG_WIDTH
+    return [dict(zip(names, ep.log[k:k + w])) for k in range(0, len(ep.log), w)]
+
+
 def _run_digest(run) -> str:
+    # each step hashes as the tuple the pins below were recorded from: (t,
+    # action or None, reward, the SINR, effective SINR and power pairs, the
+    # int beam pair, loss or None), whatever the log's column order
     digest = hashlib.sha256()
     for ep in run.episodes:
-        for s in ep.steps:
-            digest.update(_token((ep.index, s.t, s.action, s.reward, s.sinr_db,
-                                  s.eff_sinr_db, s.powers_dbm, s.beams,
-                                  s.loss)).encode() + b"\n")
+        for t, s in enumerate(_steps(ep)):
+            a, loss = s["action_hex"], s["loss"]
+            digest.update(_token((
+                ep.index, t, None if a < 0 else int(a), s["reward"],
+                (s["sinr_ell_db"], s["sinr_b_db"]),
+                (s["eff_sinr_ell_db"], s["eff_sinr_b_db"]),
+                (s["p_ell_dbm"], s["p_b_dbm"]), (int(s["beam_ell"]), int(s["beam_b"])),
+                None if math.isnan(loss) else loss)).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -212,8 +225,8 @@ def test_dqn_run_matches_pinned_fingerprint():
     cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(3,), m_list=(8,),
                         episode_cap=40)
     run = run_experiment(cfg, 8, 3, "dqn", stop_on_convergence=False)
-    steps = [s for ep in run.episodes for s in ep.steps]
-    assert sum(s.loss is not None for s in steps) > 0   # the learner trained
+    losses = [s["loss"] for ep in run.episodes for s in _steps(ep)]
+    assert not all(map(math.isnan, losses))             # the learner trained
     assert _run_digest(run) == (
         "487613c219c6554909ce2c443778d23f604c4e9f258626c5a6040494f22978d0")
 
@@ -282,9 +295,9 @@ def _bytes_held_per_step(cfg, m: int, seed: int, engine: str) -> float:
     (0, 1, "tabular", 300, 250),       # about 4.4 steps per episode
 ])
 def test_a_run_holds_its_steps_compactly(q, m, engine, episodes, bound):
-    # with a StepRecord of four 2-tuples and its floats per step, these runs
-    # held 678 and 562 B/step on 64-bit CPython 3.11; the flat log holds
-    # about 280 and 140
+    # with a record object of four 2-tuples and its floats per step, these
+    # runs held 678 and 562 B/step on 64-bit CPython 3.11; the flat step log
+    # (sim.LOG_COLUMNS) holds about 280 and 140
     cfg = NetworkConfig(q=q, m_list=(m,), engines=(engine,), seeds=(3,),
                         episode_cap=episodes)
     assert _bytes_held_per_step(cfg, m, 3, engine) < bound
@@ -310,9 +323,9 @@ def test_vacuous_thresholds_always_converge():
     eng = make_engine("fpa", cfg, env, 1)
     res = run_episode(env, eng)
     assert res.converged and not res.aborted
-    assert len(res.steps) == cfg.frame_steps
+    assert res.n_steps == cfg.frame_steps
     # the final step earns the convergence bonus on top of the zero base reward
-    assert res.steps[-1].reward == pytest.approx(cfg.r_max)
+    assert _steps(res)[-1]["reward"] == pytest.approx(cfg.r_max)
 
 
 def test_impossible_floor_aborts_first_step():
@@ -321,9 +334,9 @@ def test_impossible_floor_aborts_first_step():
     eng = make_engine("fpa", cfg, env, 1)
     res = run_episode(env, eng)
     assert res.aborted and not res.converged
-    assert len(res.steps) == 1
-    assert res.steps[0].reward == cfg.r_min
-    assert min(res.steps[-1].eff_sinr_db) < 1e9
+    assert res.n_steps == 1
+    assert _steps(res)[0]["reward"] == cfg.r_min
+    assert min(res.eff_sinr_pairs()[-1]) < 1e9
 
 
 @pytest.mark.parametrize("floor_db, frame_steps, bonus", [
@@ -461,13 +474,23 @@ def _written_trace(tmp_path, cfg, run):
     return path
 
 
-def test_trace_round_trip(tmp_path):
-    cfg = _voice_cfg()
-    run = run_experiment(cfg, 1, 3, "fpa")
+@pytest.mark.parametrize("cfg, m, engine", [
+    pytest.param(_voice_cfg(), 1, "fpa", id="fpa"),
+    # actions, losses and beams above 0 exercise every column's text form
+    pytest.param(NetworkConfig(q=1, m_list=(4,), engines=("dqn",), episode_cap=30),
+                 4, "dqn", id="dqn"),
+])
+def test_trace_round_trip(tmp_path, cfg, m, engine):
+    run = run_experiment(cfg, m, 3, engine)
+    if engine == "dqn":
+        steps = [s for e in run.episodes for s in _steps(e)]
+        assert any(s["action_hex"] >= 0 for s in steps)
+        assert any(not math.isnan(s["loss"]) for s in steps)
+        assert any(s["beam_ell"] > 0 or s["beam_b"] > 0 for s in steps)
     cfg_back, back = read_trace(_written_trace(tmp_path, cfg, run))
     assert cfg_back == cfg
     assert cfg_back.config_hash() == cfg.config_hash()
-    assert (back.engine, back.m, back.seed) == ("fpa", 1, 3)
+    assert (back.engine, back.m, back.seed) == (engine, m, 3)
     assert len(back.episodes) == len(run.episodes)
     # floats are written exactly, so every step reads back bit for bit (NaN,
     # the missing loss, included)
@@ -480,7 +503,7 @@ def test_trace_round_trip(tmp_path):
     # and the summary rows are equal on everything except wall-clock fields
     direct = summarize_run(cfg, run)
     recomputed = summarize_run(cfg_back, back)
-    assert direct["ccdf_file"] == "ccdf_fpa_M1_s3.csv"
+    assert direct["ccdf_file"] == f"ccdf_{engine}_M{m}_s3.csv"
     for key, val in direct.items():
         if key not in sim.TIMING_COLUMNS:
             assert recomputed[key] == val, key
@@ -529,12 +552,13 @@ def test_read_trace_rejects_other_versions(tmp_path):
 def test_learning_engines_run_and_log_losses():
     cfg = NetworkConfig(q=0, engines=("dqn",), episode_cap=4)
     run = run_experiment(cfg, 1, 5, "dqn", stop_on_convergence=False)
-    losses = [s.loss for e in run.episodes for s in e.steps if s.loss is not None]
+    losses = [s["loss"] for e in run.episodes for s in _steps(e)
+              if not math.isnan(s["loss"])]
     assert losses, "replay buffer reached a minibatch and trained"
     assert all(math.isfinite(l) for l in losses)
     tab = run_experiment(cfg.replace(engines=("tabular",)), 1, 5, "tabular",
                          stop_on_convergence=False)
-    assert sum(len(e.steps) for e in tab.episodes) > 0
+    assert tab.steps_total > 0
 
 
 def test_brute_force_engine_reaches_oracle_levels():
@@ -542,14 +566,17 @@ def test_brute_force_engine_reaches_oracle_levels():
     run = run_experiment(cfg, 4, 2, "brute_force", stop_on_convergence=False)
     episode = run.episodes[0]
     # the joint optimum in a race condition is both sites at full power
-    assert episode.steps[0].powers_dbm == (46.0, 46.0)
+    first = _steps(episode)[0]
+    assert (first["p_ell_dbm"], first["p_b_dbm"]) == (46.0, 46.0)
     assert summarize_run(cfg, run)["candidates_per_step"] == (4 * 4) ** 2
     # the env scores each step's levels exactly as the oracle scored them
     env = TwoCellEnv(cfg, 4, 2)
     space = SearchSpace(power_grid_dbm=cfg.oracle_power_grid, codebook=env.codebook)
     channels = replay_episode_channels(cfg, 4, 2, episode.index)
     assert episode.n_steps > 1
-    for step in episode.steps:
-        res = brute_force(channels[step.t], space, cfg.q, env.code_map, env.noise_mw)
-        assert (step.powers_dbm, step.beams) == (res.powers_dbm, res.beams)
-        assert [g.hex() for g in step.eff_sinr_db] == [g.hex() for g in res.eff_sinrs_db]
+    for t, s in enumerate(_steps(episode)):
+        res = brute_force(channels[t], space, cfg.q, env.code_map, env.noise_mw)
+        assert ((s["p_ell_dbm"], s["p_b_dbm"]), (s["beam_ell"], s["beam_b"])) == (
+            res.powers_dbm, res.beams)
+        assert [s["eff_sinr_ell_db"].hex(), s["eff_sinr_b_db"].hex()] == [
+            g.hex() for g in res.eff_sinrs_db]
