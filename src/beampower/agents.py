@@ -7,6 +7,7 @@ fully owned and can be checked against finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,16 +77,15 @@ class QNetwork:
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         """Action values for one state of shape (n_in,); any other length
-        makes the first matmul raise ValueError."""
-        h1 = _sigmoid(self.w1 @ s + self.b1)
-        h2 = _sigmoid(self.w2 @ h1 + self.b2)
-        return self.w3 @ h2 + self.b3
+        makes the first product raise ValueError."""
+        return self._hidden(s)[2]
 
     def _hidden(self, states: np.ndarray) -> tuple:
-        """(h1, h2, q) of a batch of states, one row per state."""
-        h1 = _sigmoid(states @ self.w1.T + self.b1)
-        h2 = _sigmoid(h1 @ self.w2.T + self.b2)
-        return h1, h2, h2 @ self.w3.T + self.b3
+        """(h1, h2, q) of one state or a batch, one row per state.  A batch of
+        two or more rows, as sgd_step's n to 2n, is a gemm; a lone row a gemv."""
+        h1 = _sigmoid(states.dot(self.w1.T), self.b1)
+        h2 = _sigmoid(h1.dot(self.w2.T), self.b2)
+        return h1, h2, h2.dot(self.w3.T) + self.b3
 
 
 def _views(flat: np.ndarray, like: list) -> list:
@@ -97,8 +97,9 @@ def _views(flat: np.ndarray, like: list) -> list:
     return views
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), computed in place in the temporary ``x``."""
+def _sigmoid(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-(x + bias))), computed in place in the temporary ``x``."""
+    x += bias
     np.negative(x, out=x)
     np.exp(x, out=x)
     x += 1.0
@@ -120,46 +121,51 @@ def sgd_step(net: QNetwork, states: np.ndarray, actions: np.ndarray,
     """One SGD step on the mean squared Bellman error of the minibatch.
 
     The minibatch is given row-aligned: states (n, n_in), actions (n,),
-    rewards (n,), next_states (n, n_in) and live (n,), which is False for
-    terminal transitions.  The target is r for terminal rows, else
-    r + discount * max_a' Q(s', a').  Targets are computed with the current
-    parameters and treated as constants; the gradient flows only through
-    the predictions.  One forward pass over the stack [states; next_states]
-    gives both: its first n rows are the predictions, its last n the
-    target values.  For n >= 2 these are the floats of two separate passes
-    (numpy multiplies a lone row as a matrix-vector product, which may
-    round differently).  The gradients are written into ``net.grad`` and
-    the network is updated in place and returned together with the loss.
+    rewards (n,), next_states (n, n_in) and live (n,), False for terminal
+    rows.  The target, r for a terminal row and r + discount * max_a'
+    Q(s', a') for a live one, is held constant at the current parameters.
+    One forward pass over [states; next_states[live]], n to 2n rows, gives
+    predictions and targets and never reads a terminal row's next state;
+    for n >= 2 it is a gemm, with the floats of two separate passes over
+    states and over all next_states.  The network is updated in place,
+    through ``net.grad``, and returned with the loss.
     """
     n = len(actions)
-    rows = np.arange(n)
-    h1, h2, qvals = net._hidden(np.concatenate((states, next_states)))
-    targets = np.where(live, rewards + discount * np.maximum.reduce(qvals[n:], axis=1),
-                       rewards)
-    err = targets - qvals[rows, actions]
+    at = live.nonzero()[0]
+    h1, h2, qvals = net._hidden(np.concatenate((states, next_states.take(at, axis=0))))
+    err = rewards.copy()
+    err[at] += discount * np.maximum.reduce(qvals[n:], axis=1)
+    picked = _row_starts(n, net.n_out) + actions   # flat index of (i, actions[i])
+    err -= qvals.take(picked)
     loss = float(np.add.reduce(err * err) / n)
     if not math.isfinite(loss):
         raise TrainingDiverged(f"training loss is not finite: {loss}")
 
     # d(loss)/d(q_a) = -2 * err / n, routed to the taken action only
     h1, h2 = h1[:n], h2[:n]
-    g3 = np.zeros((n, qvals.shape[1]))
-    g3[rows, actions] = -2.0 * err / n
-    np.matmul(g3.T, h2, out=net.dw3)
+    g3 = np.zeros((n, net.n_out))
+    g3.put(picked, -2.0 * err / n)
+    g3.T.dot(h2, out=net.dw3)
     np.add.reduce(g3, axis=0, out=net.db3)
-    d2 = g3 @ net.w3
+    d2 = g3.dot(net.w3)
     d2 *= h2
     d2 *= 1.0 - h2
-    np.matmul(d2.T, h1, out=net.dw2)
+    d2.T.dot(h1, out=net.dw2)
     np.add.reduce(d2, axis=0, out=net.db2)
-    d1 = d2 @ net.w2
+    d1 = d2.dot(net.w2)
     d1 *= h1
     d1 *= 1.0 - h1
-    np.matmul(d1.T, states, out=net.dw1)
+    d1.T.dot(states, out=net.dw1)
     np.add.reduce(d1, axis=0, out=net.db1)
 
     net.theta -= eta * net.grad
     return net, loss
+
+
+@functools.cache
+def _row_starts(n: int, width: int) -> np.ndarray:
+    """Flat index of the first entry of each row of an (n, width) array."""
+    return np.arange(0, n * width, width)
 
 
 class ReplayBuffer:

@@ -80,7 +80,9 @@ class NetworkConfig:
 
     # radio
     max_power_dbm: float = 46.0
-    carrier_mhz: float | None = _ranged(None, _POSITIVE)
+    # the floor is the low end of Okumura-Hata's stated 150-1500 MHz, which
+    # COST231 extends upward; the close-in model states 0.5-100 GHz
+    carrier_mhz: float | None = _ranged(None, Interval(150, math.inf, "[)"))
     tx_gain_dbi: float | None = None
     ue_gain_dbi: float = 0.0
     p_los: float | None = _ranged(None, Interval(0, 1))

@@ -71,19 +71,13 @@ class CodeRateMap:
         return cls(thresholds_db=config.code_rate_thresholds_db,
                    betas=config.code_rate_betas)
 
-    def beta(self, sinr: float) -> float:
-        for t, b in zip(self.thresholds_db, self.betas):
-            if sinr < t:
-                return b
-        return self.betas[-1]
-
     @cached_property
     def gains_db(self) -> tuple:
         """The coding gain 10*log10(1/beta) of each entry of ``betas``."""
         return tuple(10.0 * math.log10(1.0 / b) for b in self.betas)
 
     def gain_db(self, sinr: float) -> float:
-        """10*log10(1/beta(sinr)), by the same threshold scan as ``beta``."""
+        """10*log10(1/beta), beta from the first threshold above ``sinr``."""
         for t, g in zip(self.thresholds_db, self.gains_db):
             if sinr < t:
                 return g

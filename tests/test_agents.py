@@ -152,12 +152,21 @@ def _sgd_two_passes(params, states, actions, rewards, next_states, live, discoun
     return [p - eta * g for p, g in zip((w1, b1, w2, b2, w3, b3), grads)], loss
 
 
+def _assert_step_matches_two_passes(net, batch, discount, eta):
+    want, want_loss = _sgd_two_passes(_params(net), *batch, discount, eta)
+    _, loss = sgd_step(net, *batch, discount, eta)
+    assert loss == want_loss
+    for got, ref in zip(_params(net), want):
+        assert np.array_equal(got, ref)
+
+
 def test_stacked_sgd_step_matches_two_forward_passes_bit_for_bit():
-    # one forward pass over [states; next_states] and one update of the flat
-    # parameter array must give the floats of the two-pass, per-parameter
-    # step; a one-row minibatch is left out, because numpy multiplies a
-    # single row as a matrix-vector product (gemv), whose sums may round
-    # differently from the matrix product of the stacked pair
+    # one forward pass over [states; next_states[live]] and one update of
+    # the flat parameter array must give the floats of the two-pass,
+    # per-parameter step, which evaluates every next state; a one-row
+    # minibatch is left out, because numpy multiplies a single row as a
+    # matrix-vector product (gemv), whose sums may round differently from
+    # the matrix product of a stack of two or more rows
     rng = np.random.default_rng(77)
     for trial in range(300):
         n = int(rng.choice([2, 5, 32]))
@@ -165,11 +174,17 @@ def test_stacked_sgd_step_matches_two_forward_passes_bit_for_bit():
         batch = _random_batch(rng, n)
         discount, eta = float(rng.uniform(0.5, 1.0)), float(10.0 ** rng.uniform(-4, -1))
         for _ in range(3):
-            want, want_loss = _sgd_two_passes(_params(net), *batch, discount, eta)
-            _, loss = sgd_step(net, *batch, discount, eta)
-            assert loss == want_loss
-            for got, ref in zip(_params(net), want):
-                assert np.array_equal(got, ref)
+            _assert_step_matches_two_passes(net, batch, discount, eta)
+    # every stack height the step can see, n to 2n rows: one minibatch for
+    # each count k of live rows; the terminal rows keep a random next state,
+    # which the step must not read
+    for n in (2, 32):
+        for k in range(n + 1):
+            net = _net(1000 * n + k)
+            batch = _random_batch(rng, n)[:4]
+            live = np.zeros(n, dtype=bool)
+            live[rng.permutation(n)[:k]] = True
+            _assert_step_matches_two_passes(net, (*batch, live), 0.9, 0.01)
 
 
 def test_parameters_are_views_of_the_flat_arrays():

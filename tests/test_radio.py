@@ -77,13 +77,21 @@ def test_sinr_monotone_in_powers():
         assert sinr_db(*_two_cell(p0, p1 + 1), 0) < base
 
 
+def _beta(cm: CodeRateMap, sinr: float) -> float:
+    """Reference code rate at ``sinr``: the entry of ``betas`` at the first
+    threshold above it, or the last entry when there is none."""
+    for t, b in zip(cm.thresholds_db, cm.betas):
+        if sinr < t:
+            return b
+    return cm.betas[-1]
+
+
 def test_code_rate_map_betas():
     cm = _voice_map()
-    assert cm.beta(-2.0) == pytest.approx(1.0 / 3.0)
-    assert cm.beta(0.0) == pytest.approx(0.5)
-    assert cm.beta(3.0) == pytest.approx(0.5)
-    assert cm.beta(5.0) == pytest.approx(1.0)
-    assert cm.beta(20.0) == pytest.approx(1.0)
+    for sinr, beta in ((-2.0, 1.0 / 3.0), (0.0, 0.5), (3.0, 0.5), (5.0, 1.0),
+                       (20.0, 1.0)):
+        assert _beta(cm, sinr) == pytest.approx(beta)
+        assert cm.gain_db(sinr) == 10 * math.log10(1 / _beta(cm, sinr))
 
 
 @pytest.mark.parametrize("cm", [_voice_map(),
@@ -92,7 +100,7 @@ def test_code_rate_gain_is_the_gain_of_beta_at_every_threshold(cm):
     for t in cm.thresholds_db:
         for sinr in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf),
                      t - 1.0, t + 1.0):
-            assert cm.gain_db(sinr) == 10 * math.log10(1 / cm.beta(sinr))
+            assert cm.gain_db(sinr) == 10 * math.log10(1 / _beta(cm, sinr))
 
 
 def test_effective_sinr_adds_repetition_gain():
