@@ -1,5 +1,5 @@
 """Command-line front end: seeded experiment runs, the exhaustive baseline,
-trace post-processing and a self-check against shipped golden traces.
+trace post-processing and a re-run of the shipped golden runs.
 
 Exit codes: 0 success, 1 configuration error, 2 bad command-line usage,
 missing inputs or a failed run, 3 verification or report mismatch.
@@ -13,15 +13,13 @@ import contextlib
 import functools
 import os
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
-
 from . import sim
-from .channel import steering_vector
 from .config import ConfigError, NetworkConfig, parse_value, text_hash
 from .geometry import build_layout
-from .radio import N_ACTIONS, REGISTER, apply_power_cmd
 
 OUT_ENV_VAR = "BEAMPOWER_OUT"
 
@@ -181,16 +179,6 @@ def cmd_ccdf(args) -> int:
     return 0
 
 
-def _recompute_summary_rows(trace_dir: Path) -> list[dict]:
-    """The summary row of every trace in ``trace_dir``, formatted as text."""
-    rows = []
-    for path in sorted(trace_dir.glob("trace_*.csv")):
-        config, run = sim.read_trace(path)
-        if run is not None:
-            rows.append(_formatted(sim.summarize_run(config, run)))
-    return rows
-
-
 def _summary_mismatches(rows: list[dict], summary_path: Path) -> list[tuple]:
     """(key, column, summary value, recomputed value) for each non-timing
     difference of the text ``rows`` from ``summary_path``, including a
@@ -211,7 +199,11 @@ def _summary_mismatches(rows: list[dict], summary_path: Path) -> list[tuple]:
 
 def cmd_report(args) -> int:
     trace_dir = Path(args.dir)
-    rows = _recompute_summary_rows(trace_dir)
+    rows = []
+    for path in sorted(trace_dir.glob("trace_*.csv")):
+        config, run = sim.read_trace(path)
+        if run is not None:
+            rows.append(_formatted(sim.summarize_run(config, run)))
     if not rows:
         print(f"no traces found in {trace_dir}", file=sys.stderr)
         return 2
@@ -239,65 +231,68 @@ def _golden_dir() -> Path:
     return Path(__file__).resolve().parent / "golden"
 
 
-def _check(name: str, ok: bool, failures: list) -> None:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    if not ok:
-        failures.append(name)
+def _first_difference(got: Path, want: Path) -> int | None:
+    """The 1-based number of the first line at which two files differ, or
+    None when their bytes are equal."""
+    lines = zip_longest(*(p.read_bytes().splitlines(keepends=True) for p in (got, want)))
+    return next((n for n, (a, b) in enumerate(lines, 1) if a != b), None)
+
+
+def _rerun_problems(trace: Path, golden: Path, out: Path) -> list[str]:
+    """Re-run a golden trace's run into ``out`` as ``run`` runs it, from the
+    header's config and the rows' engine, M and seed; return how the files
+    written differ from their golden copies.  ``summary.csv`` is compared in
+    its non-timing columns, every other file byte for byte."""
+    try:
+        config, run = sim.read_trace(trace)
+    except ValueError as exc:
+        return [str(exc)]
+    if run is None:
+        return ["the trace holds no steps"]
+    out.mkdir()
+    _write_run_outputs(out, config, [_run_job(config, run.m, run.seed, run.engine)])
+    problems = []
+    for path in sorted(out.iterdir()):
+        want = golden / path.name
+        if not want.exists():
+            problems.append(f"{path.name} has no golden copy")
+        elif path.name == "summary.csv":
+            problems += [f"summary.csv {key} {col}: golden={a!r} re-run={b!r}"
+                         for key, col, a, b in
+                         _summary_mismatches(sim.read_summary(path), want)]
+        elif (line := _first_difference(path, want)) is not None:
+            problems.append(f"{path.name} differs from line {line}")
+    return problems
 
 
 def cmd_verify(args) -> int:
-    failures: list[str] = []
-    defaults = NetworkConfig()
-
-    # fast numeric properties
-    ok = True
-    for m in (1, 4, 8):
-        for theta in np.linspace(0, np.pi, 7):
-            v = steering_vector(theta, m, defaults.d_over_lambda)
-            ok &= abs(np.linalg.norm(v) - 1.0) < 1e-12
-    _check("steering vectors unit norm", ok, failures)
-
-    _check("each bearer's register commands distinct",
-           all(len(set(REGISTER[q])) == N_ACTIONS for q in (0, 1)), failures)
-
-    rng = np.random.default_rng(0)
-    p = 40.0
-    ok = True
-    for _ in range(1000):
-        p = apply_power_cmd(p, float(rng.choice([-3, -1, 1, 3])), defaults.max_power_dbm)
-        ok &= p <= defaults.max_power_dbm
-    _check("power ceiling honoured", ok, failures)
-
-    curve = sim.ccdf(rng.normal(size=500))
-    _check("ccdf monotone non-increasing", bool(np.all(np.diff(curve[:, 1]) <= 0)),
-           failures)
-
-    # golden trace: recompute the summary from the shipped trace
     golden = _golden_dir()
-    trace_files = sorted(golden.glob("trace_*.csv"))
-    summary_file = golden / "summary.csv"
-    if trace_files and summary_file.exists():
-        rows = _recompute_summary_rows(golden)
-        ok = bool(rows) and not _summary_mismatches(rows, summary_file)
-        _check("golden trace summary reproduced", ok, failures)
-    else:
-        _check("golden trace present", False, failures)
-
-    # determinism: the same tiny run twice, byte-identical traces
-    config = NetworkConfig(q=0, engines=("fpa",), seeds=(3,), episode_cap=2)
-    def tiny_rows():
-        run = sim.run_experiment(config, 1, 3, "fpa")
-        return sim.trace_rows(run, config)
-    _check("same-seed determinism", tiny_rows() == tiny_rows(), failures)
-
-    if failures:
-        print(f"{len(failures)} check(s) failed")
-        return 3
-    print("all checks passed")
-    return 0
+    traces = sorted(golden.glob("trace_*.csv"))
+    failed = [] if traces else [f"{golden}: no golden trace"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for trace in traces:
+            problems = _rerun_problems(trace, golden, Path(tmp) / trace.stem)
+            if problems:
+                failed.append(f"{trace.name}: {'; '.join(problems)}")
+            else:
+                print(f"PASS  {trace.name}")
+        written = {path.name for path in Path(tmp).glob("*/*")}
+    failed += [f"{path.name}: no golden run writes it"
+               for path in sorted(golden.iterdir()) if path.name not in written]
+    for line in failed:
+        print(f"FAIL  {line}")
+    return 3 if failed else 0
 
 
 # ---------------------------------------------------------------------------
+
+
+def _worker_count(text: str) -> int:
+    """``--workers``: a whole number of processes, at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {n}")
+    return n
 
 
 @functools.lru_cache(maxsize=8)
@@ -316,8 +311,8 @@ def build_parser(default_out: str) -> argparse.ArgumentParser:
         sp.add_argument("--m", help="comma-separated codebook sizes")
         sp.add_argument("--seeds", help="comma-separated seeds")
         sp.add_argument("--episodes", type=int, help="episode cap override")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes")
+        sp.add_argument("--workers", type=_worker_count, default=1,
+                        help="parallel worker processes (at least 1)")
 
     sp = sub.add_parser("run", help="run the configured experiment matrix")
     add_run_args(sp)
@@ -325,7 +320,7 @@ def build_parser(default_out: str) -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="run the exhaustive-search baseline only")
     add_run_args(sp)
 
-    sub.add_parser("verify", help="self-check against shipped golden traces")
+    sub.add_parser("verify", help="re-run the golden runs and compare their files")
 
     sp = sub.add_parser("ccdf", help="effective-SINR CCDF from a trace file")
     sp.add_argument("--trace", required=True)

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,15 +52,20 @@ def test_run_cli_overrides_replace_config_lists(tmp_path):
     ("--episodes", "0", "episode_cap"),
     ("--engines", "", "--engines"), ("--m", "", "--m"), ("--seeds", "", "--seeds"),
     ("--engines", "fpa,,x", "engines"),
+    ("--workers", "0", "--workers"), ("--workers", "-4", "--workers"),
 ])
 def test_a_cli_override_of_0_or_empty_is_applied(tmp_path, capsys, option, value,
                                                  named):
     # the config alone runs; an override of 0 or "" is not dropped but
-    # applied, and rejected naming the key or the option
+    # applied, and rejected naming the key or the option. A worker count
+    # below 1 is bad usage, which argparse rejects itself (exit 2)
     cfg = _write_cfg(tmp_path, "q = 0\nengines = fpa\nepisode_cap = 3\n")
     out = tmp_path / "out"
-    rc = cli.main(["run", "--config", cfg, "--out", str(out), option, value])
-    assert rc == 1
+    try:
+        rc = cli.main(["run", "--config", cfg, "--out", str(out), option, value])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == (2 if option == "--workers" else 1)
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -368,12 +374,56 @@ def test_summary_merges_across_invocations(tmp_path):
     assert [r["seed"] for r in rows] == ["2", "7"]
 
 
+def _file_bytes(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def test_verify_passes_on_shipped_golden_files(capsys):
+    golden = cli._golden_dir()
+    shipped = _file_bytes(golden)
+    traces = sorted(name for name in shipped if name.startswith("trace_"))
+    assert {"trace_dqn_M4_s6.csv", "trace_tabular_M1_s7.csv"} < set(traces)
     rc = cli.main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert "golden trace summary reproduced" in "\n".join(lines)
+    assert lines == [f"PASS  {name}" for name in traces]
+    assert _file_bytes(golden) == shipped
+
+
+def _tamper_golden(golden: Path, how: str) -> str:
+    """Tamper with a copy of the golden files; return the FAIL line's text."""
+    if how == "step_float":
+        trace = golden / "trace_dqn_M4_s6.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        n = lines.index(",".join(sim.TRACE_COLUMNS) + "\n") + 10
+        row = lines[n].split(",")
+        col = sim.TRACE_COLUMNS.index("sinr_ell_db")
+        row[col] = repr(float(row[col]) + 0.5)
+        lines[n] = ",".join(row)
+        trace.write_text("".join(lines))
+        # line numbers count from 1
+        return f"trace_dqn_M4_s6.csv: trace_dqn_M4_s6.csv differs from line {n + 1}"
+    if how == "stray_ccdf":
+        (golden / "ccdf_dqn_M4_s9.csv").write_text("# config_hash = 0\neff_sinr_db\n")
+        return "ccdf_dqn_M4_s9.csv: no golden run writes it"
+    if how == "missing_ccdf":
+        (golden / "ccdf_tabular_M1_s7.csv").unlink()
+        return "trace_tabular_M1_s7.csv: ccdf_tabular_M1_s7.csv has no golden copy"
+    for trace in golden.glob("trace_*.csv"):
+        trace.unlink()
+    return f"{golden}: no golden trace"
+
+
+@pytest.mark.parametrize("how", ["step_float", "stray_ccdf", "missing_ccdf",
+                                 "no_trace"])
+def test_verify_fails_naming_the_tampered_golden_file(tmp_path, monkeypatch, capsys,
+                                                      how):
+    golden = tmp_path / "golden"
+    shutil.copytree(cli._golden_dir(), golden)
+    monkeypatch.setattr(cli, "_golden_dir", lambda: golden)
+    named = _tamper_golden(golden, how)
+    assert cli.main(["verify"]) == 3
+    assert f"FAIL  {named}" in capsys.readouterr().out.splitlines()
 
 
 def test_parser_follows_the_environment_between_calls(tmp_path, monkeypatch):

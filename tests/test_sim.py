@@ -231,6 +231,16 @@ def test_dqn_run_matches_pinned_fingerprint():
         "487613c219c6554909ce2c443778d23f604c4e9f258626c5a6040494f22978d0")
 
 
+def test_dqn_golden_run_matches_pinned_fingerprint():
+    # the run behind golden/trace_dqn_M4_s6.csv, which `beampower verify`
+    # re-runs: default settings, stopped at convergence after 40 episodes
+    cfg = NetworkConfig(q=1, engines=("dqn",), seeds=(6,), m_list=(4,))
+    run = run_experiment(cfg, 4, 6, "dqn")
+    assert (len(run.episodes), run.steps_total) == (40, 123)
+    assert _run_digest(run) == (
+        "849b6631855a0bf6bf24dab009faf57c36d473bf00f828b20fa1872edeea7f29")
+
+
 def test_voice_run_matches_pinned_fingerprint(link_draws):
     # the sub-6 GHz counterpart of the dqn pin: COST231 path loss, 15-path
     # NLOS links and the tabular learner, at q=0 M=1
