@@ -27,10 +27,10 @@ class TrainingDiverged(RuntimeError):
 class PolicyState:
     """Epsilon-greedy schedule and discount; epsilon decays once per step."""
 
-    epsilon: float = 1.0
-    decay: float = 0.9995
-    eps_min: float = 0.1
-    discount: float = 0.995
+    epsilon: float
+    decay: float
+    eps_min: float
+    discount: float
 
     @classmethod
     def from_config(cls, config: NetworkConfig) -> "PolicyState":

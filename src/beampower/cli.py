@@ -18,10 +18,11 @@ from itertools import zip_longest
 from pathlib import Path
 
 from . import sim
-from .config import ConfigError, NetworkConfig, parse_value, text_hash
-from .geometry import build_layout
+from .config import ConfigError, NetworkConfig, parse_value
 
 OUT_ENV_VAR = "BEAMPOWER_OUT"
+# ``ccdf`` writes its curve beside the trace by default; ``report`` skips it
+_CCDF_SUFFIX = ".ccdf.csv"
 
 
 def _default_out() -> str:
@@ -52,27 +53,15 @@ def _load_config(args) -> NetworkConfig:
 def _run_job(config: NetworkConfig, m: int, seed: int, engine: str):
     """Executed in a worker process; returns everything the parent writes."""
     run = sim.run_experiment(config, m, seed, engine)
-    best = sim.best_complete_episode(run.episodes)
-    return {
-        "summary": sim.summarize_run(config, run),
-        "trace_rows": sim.trace_rows(run, config),
-        "samples": best.eff_sinr_samples() if best is not None else [],
-    }
+    return {"summary": sim.summarize_run(config, run), "trace_rows": sim.trace_rows(run)}
 
 
 def _write_run_outputs(out: Path, config: NetworkConfig, results: list) -> None:
-    # the layout does not depend on M, so one header serves every trace
     cfg_text = config.to_text()
-    cfg_hash = text_hash(cfg_text)
-    header = sim.trace_header(cfg_text, build_layout(config))
     for res in results:
-        summary = res["summary"]
-        stem = f"{summary['engine']}_M{summary['m']}_s{summary['seed']}"
-        sim.write_trace(out / f"trace_{stem}.csv", header, res["trace_rows"])
-        if summary["ccdf_file"]:
-            body = [f"# config_hash = {cfg_hash}", "eff_sinr_db"]
-            body += [sim.fmt(x) for x in res["samples"]]
-            (out / summary["ccdf_file"]).write_text("\n".join(body) + "\n")
+        run = tuple(res["summary"][c] for c in ("engine", "m", "seed"))
+        sim.write_trace(out / "trace_{}_M{}_s{}.csv".format(*run),
+                        sim.trace_header(cfg_text, *run), res["trace_rows"])
     _emit_runtime_ratios(out, _append_summary(out / "summary.csv",
                                               [res["summary"] for res in results]))
 
@@ -171,7 +160,7 @@ def cmd_ccdf(args) -> int:
             return 2
         samples = best.eff_sinr_samples()
     curve = sim.ccdf(samples)
-    out = Path(args.out) if args.out else Path(args.trace).with_suffix(".ccdf.csv")
+    out = Path(args.out) if args.out else Path(args.trace).with_suffix(_CCDF_SUFFIX)
     lines = [f"# config_hash = {config.config_hash()}", "threshold_db,prob"]
     lines += [f"{sim.fmt(t)},{sim.fmt(p)}" for t, p in curve]
     out.write_text("\n".join(lines) + "\n")
@@ -179,12 +168,16 @@ def cmd_ccdf(args) -> int:
     return 0
 
 
+def _rows_by_run(summary_path: Path) -> dict:
+    """The rows of a summary file keyed by their (engine, M, seed) text."""
+    return {(r["engine"], r["m"], r["seed"]): r for r in sim.read_summary(summary_path)}
+
+
 def _summary_mismatches(rows: list[dict], summary_path: Path) -> list[tuple]:
     """(key, column, summary value, recomputed value) for each non-timing
     difference of the text ``rows`` from ``summary_path``, including a
     recomputed row it lacks."""
-    original = {(r["engine"], r["m"], r["seed"]): r
-                for r in sim.read_summary(summary_path)}
+    original = _rows_by_run(summary_path)
     compare = [c for c in sim.SUMMARY_COLUMNS if c not in sim.TIMING_COLUMNS]
     mismatches = []
     for row in rows:
@@ -201,6 +194,8 @@ def cmd_report(args) -> int:
     trace_dir = Path(args.dir)
     rows = []
     for path in sorted(trace_dir.glob("trace_*.csv")):
+        if path.name.endswith(_CCDF_SUFFIX):
+            continue
         config, run = sim.read_trace(path)
         if run is not None:
             rows.append(_formatted(sim.summarize_run(config, run)))
@@ -239,10 +234,10 @@ def _first_difference(got: Path, want: Path) -> int | None:
 
 
 def _rerun_problems(trace: Path, golden: Path, out: Path) -> list[str]:
-    """Re-run a golden trace's run into ``out`` as ``run`` runs it, from the
-    header's config and the rows' engine, M and seed; return how the files
-    written differ from their golden copies.  ``summary.csv`` is compared in
-    its non-timing columns, every other file byte for byte."""
+    """Re-run a golden trace's run into ``out`` as ``run`` runs it, from its
+    header's config and run line; return how the files written differ from
+    their golden copies.  ``summary.csv`` is compared in its non-timing
+    columns, every other file byte for byte."""
     try:
         config, run = sim.read_trace(trace)
     except ValueError as exc:
@@ -277,8 +272,13 @@ def cmd_verify(args) -> int:
             else:
                 print(f"PASS  {trace.name}")
         written = {path.name for path in Path(tmp).glob("*/*")}
+        rerun_rows = {key for path in Path(tmp).glob("*/summary.csv")
+                      for key in _rows_by_run(path)}
     failed += [f"{path.name}: no golden run writes it"
                for path in sorted(golden.iterdir()) if path.name not in written]
+    if (golden / "summary.csv").exists():
+        failed += [f"summary.csv row {key}: no golden run writes it"
+                   for key in _rows_by_run(golden / "summary.csv") if key not in rerun_rows]
     for line in failed:
         print(f"FAIL  {line}")
     return 3 if failed else 0

@@ -37,14 +37,16 @@ Conventions
 * A trace reads back as its run: ``read_trace`` parses each row straight
   into its episode's log and rebuilds the ``RunResult``, judging each
   episode's ending by ``episode_ending`` as ``run_episode`` does, with every
-  timing 0.  So ``summarize_run`` builds every summary row, ``ccdf_file``
-  included, for a run just finished and for one read from its trace alike.
+  timing 0.  So ``summarize_run`` builds every summary row for a run just
+  finished and for one read from its trace alike.  The header states the
+  run's engine, M and seed once, on its run line, and q with the config.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import time
 from array import array
 from collections import defaultdict
@@ -58,7 +60,7 @@ from .agents import (PolicyState, QNetwork, QTable, ReplayBuffer, TrainingDiverg
 from .channel import (ChannelModel, build_codebook, draw_link_fading, link_set,
                       noise_power_dbm, realize_channel)
 from .config import ALLOWED_ENGINES, ConfigError, NetworkConfig, text_hash
-from .geometry import (Layout, associate, build_layout, mobility_step_m,
+from .geometry import (associate, build_layout, mobility_step_m,
                        reflect_into_cell, uniform_disk_point)
 from .oracle import SearchSpace, brute_force, n_candidates
 from .radio import (N_ACTIONS, REGISTER, CodeRateMap, JointCommand, db_to_lin,
@@ -163,8 +165,8 @@ class TwoCellEnv:
         self.layout = build_layout(config)
         self.codebook = build_codebook(m, config.d_over_lambda, config.codebook_centered)
         self.chan_model = ChannelModel.from_config(config)
-        self.noise_dbm = noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)
-        self.noise_mw = db_to_lin(self.noise_dbm)
+        self.noise_mw = db_to_lin(noise_power_dbm(config.bandwidth_hz,
+                                                  config.noise_figure_db))
         self.code_map = CodeRateMap.from_config(config)
         self.gamma_target_db = config.gamma_target_db(m)
         self.gamma_min_db = config.gamma_min_db
@@ -177,7 +179,6 @@ class TwoCellEnv:
             p0 = fpa_power_dbm(config.n_prb_total, config.n_prb_ue, config.max_power_dbm)
         else:
             p0 = config.max_power_dbm
-        self.initial_power_dbm = p0
         self.powers_dbm = [p0] * N_CELLS
         self.beams = [0] * N_CELLS
 
@@ -579,7 +580,7 @@ def best_complete_episode(results: Sequence[EpisodeResult]) -> EpisodeResult | N
     """Highest-total-reward non-aborted episode (earliest on ties)."""
     best = None
     for r in results:
-        if r.aborted or not r.log:
+        if r.aborted:
             continue
         if best is None or r.total_reward > best.total_reward:
             best = r
@@ -589,8 +590,8 @@ def best_complete_episode(results: Sequence[EpisodeResult]) -> EpisodeResult | N
 def sum_rate_summary(results: Sequence[EpisodeResult]) -> float | None:
     """The largest sum rate of a complete episode, or None if every episode
     aborted."""
-    return max((sum_rate(r.eff_sinr_pairs()) for r in results
-                if not r.aborted and r.log), default=None)
+    return max((sum_rate(r.eff_sinr_pairs()) for r in results if not r.aborted),
+               default=None)
 
 
 CCDF_POINTS = 101
@@ -628,18 +629,21 @@ def backhaul_messages_per_episode(config: NetworkConfig) -> int:
 # ---------------------------------------------------------------------------
 # CSV traces
 
-TRACE_COLUMNS = ("t", "engine", "q", "m", "seed", "episode", *_LOG_NAMES)
+TRACE_COLUMNS = ("t", "episode", *_LOG_NAMES)
 
 SUMMARY_COLUMNS = ("engine", "m", "seed", "q", "episodes", "steps", "zeta",
                    "converged", "aborted_episodes", "best_episode",
                    "max_sum_rate", "throughput_bps", "lost_voice_frames",
                    "backhaul_msgs_per_episode", "candidates_per_step",
-                   "decision_time_s", "wall_time_s", "ccdf_file")
+                   "decision_time_s", "wall_time_s")
 
 # wall-clock columns are excluded from reproducibility comparisons
 TIMING_COLUMNS = ("decision_time_s", "wall_time_s")
 
-TRACE_VERSION = "# beampower trace v2"
+TRACE_VERSION = "# beampower trace v3"
+# a trace's second line: the run its rows hold
+_RUN_LINE = "# run engine = {}, m = {}, seed = {}"
+_RUN_PATTERN = re.compile(r"# run engine = (\w+), m = (\d+), seed = (\d+)")
 
 
 def fmt(v) -> str:
@@ -654,28 +658,23 @@ def fmt(v) -> str:
     return str(v)
 
 
-def trace_header(config_text: str, layout: Layout) -> str:
-    """Everything above a trace's rows, column line included, for the config
-    serialised as ``config_text``."""
-    lines = [TRACE_VERSION,
-             f"# config_hash = {text_hash(config_text)}"]
-    for ln in config_text.strip().splitlines():
-        lines.append(f"# cfg {ln}")
-    for s in layout.sites:
-        lines.append(f"# layout site{s.id} = {fmt(s.x)},{fmt(s.y)}")
-    lines.append(f"# layout r = {fmt(layout.cell_radius_m)}")
-    lines.append(f"# layout R = {fmt(layout.intersite_m)}")
-    lines.append(",".join(TRACE_COLUMNS))
+def trace_header(config_text: str, engine: str, m: int, seed: int) -> str:
+    """Everything above the rows of the run (engine, M, seed) of the config
+    serialised as ``config_text``, column line included."""
+    lines = [TRACE_VERSION, _RUN_LINE.format(engine, m, seed),
+             f"# config_hash = {text_hash(config_text)}",
+             *(f"# cfg {ln}" for ln in config_text.strip().splitlines()),
+             ",".join(TRACE_COLUMNS)]
     return "\n".join(lines) + "\n"
 
 
-def trace_rows(run: RunResult, config: NetworkConfig) -> list[str]:
+def trace_rows(run: RunResult) -> list[str]:
     rows = []
     w, writers = LOG_WIDTH, [write for _, write, _ in LOG_COLUMNS]
     for ep in run.episodes:
-        run_cols = f"{run.engine},{config.q},{run.m},{run.seed},{ep.index}"
+        index = str(ep.index)
         for t in range(ep.n_steps):
-            rows.append(",".join([str(t), run_cols,
+            rows.append(",".join([str(t), index,
                                   *map(_call, writers, ep.log[t * w:t * w + w])]))
     return rows
 
@@ -689,19 +688,29 @@ def write_trace(path, header: str, rows: Sequence[str]) -> None:
 
 def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
     """The config in a trace's header and the run its rows hold, timings 0;
-    the run is None for a trace without rows.  Each row goes straight into
-    its episode's step log, and each episode's ending is judged from the log
-    by ``episode_ending``, as ``run_episode`` judges it.  A row that does not
-    parse, or that belongs to another run than the first row or the header's
-    config, raises ``ValueError`` naming the file and the line."""
+    the run is None for a trace without rows.  The run's engine, M and seed
+    are the header's run line's.  Each row goes straight into its episode's
+    step log, and each episode's ending is judged from the log by
+    ``episode_ending``, as ``run_episode`` judges it.  A run line or a row
+    that does not parse, an unknown engine or an M outside the config's
+    ``m_list`` raises ``ValueError`` naming the file and the line."""
     with open(path) as fh:
         version = fh.readline().rstrip("\n")
         if version != TRACE_VERSION:
             raise ValueError(f"unsupported trace version in {path}: {version!r}, "
                              f"expected {TRACE_VERSION!r}")
+        run_line = fh.readline().rstrip("\n")
+        found = _RUN_PATTERN.fullmatch(run_line)
+        if found is None:
+            raise ValueError(f"{path} line 2: expected the run line "
+                             f"{_RUN_LINE.format('E', 'M', 'S')!r}, found {run_line!r}")
+        engine, m, seed = found[1], int(found[2]), int(found[3])
+        if engine not in ALLOWED_ENGINES:
+            raise ValueError(f"{path} line 2: unknown engine {engine!r}, expected "
+                             f"one of {ALLOWED_ENGINES}")
         cfg_lines = []
-        lineno = 1
-        for lineno, raw in enumerate(fh, 2):
+        lineno = 2
+        for lineno, raw in enumerate(fh, 3):
             line = raw.rstrip("\n")
             if line.startswith("# cfg "):
                 cfg_lines.append(line[len("# cfg "):])
@@ -710,9 +719,11 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
                     raise ValueError(f"unexpected trace columns in {path}")
                 break
         config = NetworkConfig.from_text("\n".join(cfg_lines))
+        if m not in config.m_list:
+            raise ValueError(f"{path} line 2: expected M in {config.m_list}, as the "
+                             f"header's config has, found M = {m}")
         readers, n_fields = [read for _, _, read in LOG_COLUMNS], len(TRACE_COLUMNS)
         logs: dict[int, array] = defaultdict(lambda: array("d"))
-        key = None               # (engine, q, m, seed) text of the first row
         for lineno, raw in enumerate(fh, lineno + 1):
             if raw == "\n" or raw.startswith("#"):
                 continue
@@ -721,30 +732,19 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
                 raise ValueError(f"{path} line {lineno}: expected {n_fields} fields, "
                                  f"found {len(vals)}")
             try:
-                t, ep = int(vals[0]), int(vals[5])
-                step = list(map(_call, readers, vals[6:]))
-                if key is None:
-                    key, key_line = vals[1:5], lineno
-                    q, m, seed = map(int, key[1:])
+                t, ep = int(vals[0]), int(vals[1])
+                step = list(map(_call, readers, vals[2:]))
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: expected a number in every "
                                  f"step column, {exc}") from None
-            if vals[1:5] != key:
-                raise ValueError(f"{path} line {lineno}: expected engine,q,m,seed = "
-                                 f"{','.join(key)} as on line {key_line}, found "
-                                 f"{','.join(vals[1:5])}")
             log = logs[ep]
             # t is the step's position in its episode's log
             if t != len(log) // LOG_WIDTH:
                 raise ValueError(f"{path} line {lineno}: episode {ep} has a step t = "
                                  f"{t} where t = {len(log) // LOG_WIDTH} belongs")
             log.fromlist(step)
-    if key is None:
+    if not logs:
         return config, None
-    if q != config.q or m not in config.m_list:
-        raise ValueError(f"{path} line {key_line}: expected q = {config.q} and M "
-                         f"in {config.m_list}, as the header's config has, found "
-                         f"q = {q}, M = {m}")
     gamma_target, gamma_min = config.gamma_target_db(m), config.gamma_min_db
     episodes = []
     for idx, log in sorted(logs.items()):
@@ -753,14 +753,13 @@ def read_trace(path) -> tuple[NetworkConfig, RunResult | None]:
         episodes.append(EpisodeResult(index=idx, log=log, converged=converged,
                                       aborted=aborted, wall_time_s=0.0,
                                       decision_time_s=0.0))
-    return config, RunResult(engine=key[0], m=m, seed=seed, episodes=episodes)
+    return config, RunResult(engine=engine, m=m, seed=seed, episodes=episodes)
 
 
 def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
     """The one summary row of a run, whether ``run_experiment`` returned it
     or ``read_trace`` rebuilt it from its trace: every column but the
-    timings derives from what the trace holds.  ``ccdf_file`` names the
-    CCDF file that ``run`` writes when a complete episode exists."""
+    timings derives from what the trace holds."""
     episodes = run.episodes
     zeta = run.zeta
     max_rate = sum_rate_summary(episodes)
@@ -788,8 +787,6 @@ def summarize_run(config: NetworkConfig, run: RunResult) -> dict:
                                 if run.engine == "brute_force" else None),
         "decision_time_s": run.decision_time_s,
         "wall_time_s": run.wall_time_s,
-        "ccdf_file": ("" if best is None
-                      else f"ccdf_{run.engine}_M{run.m}_s{run.seed}.csv"),
     }
 
 

@@ -23,19 +23,23 @@ def _tiny_voice_cfg(tmp_path):
     return _write_cfg(tmp_path, "q = 0\nengines = fpa\nseeds = 2\nepisode_cap = 2\n")
 
 
-def test_run_writes_trace_summary_and_ccdf(tmp_path):
+def test_run_writes_a_trace_and_a_summary_row(tmp_path):
     out = tmp_path / "out"
     rc = cli.main(["run", "--config", _tiny_voice_cfg(tmp_path),
                    "--out", str(out)])
     assert rc == 0
-    assert (out / "trace_fpa_M1_s2.csv").exists()
-    assert (out / "ccdf_fpa_M1_s2.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv",
+                                                     "trace_fpa_M1_s2.csv"]
+    # the trace states its run once, in the header
+    lines = (out / "trace_fpa_M1_s2.csv").read_text().splitlines()
+    assert lines[:2] == [sim.TRACE_VERSION, "# run engine = fpa, m = 1, seed = 2"]
+    assert not any(line.startswith("# layout") for line in lines)
     summary = read_summary(out / "summary.csv")
     assert len(summary) == 1
     assert summary[0]["engine"] == "fpa"
     assert summary[0]["m"] == "1"
     assert summary[0]["seed"] == "2"
-    assert summary[0]["ccdf_file"] == "ccdf_fpa_M1_s2.csv"
+    assert tuple(summary[0]) == sim.SUMMARY_COLUMNS
 
 
 def test_run_cli_overrides_replace_config_lists(tmp_path):
@@ -131,6 +135,9 @@ def test_report_confirms_summary_and_flags_tampering(tmp_path):
     out = tmp_path / "out"
     cfg = _tiny_voice_cfg(tmp_path)
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    # a curve that ccdf writes beside the trace is not read as a trace
+    assert cli.main(["ccdf", "--trace", str(out / "trace_fpa_M1_s2.csv")]) == 0
+    assert (out / "trace_fpa_M1_s2.ccdf.csv").exists()
     assert cli.main(["report", "--dir", str(out)]) == 0
     assert (out / "summary_recomputed.csv").exists()
 
@@ -156,9 +163,12 @@ def test_report_rejects_a_v1_trace(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", str(out)]) == 0
     trace = out / "trace_fpa_M1_s2.csv"
-    trace.write_text(trace.read_text().replace(sim.TRACE_VERSION, "# beampower trace v1"))
-    assert cli.main(["report", "--dir", str(out)]) == 2
-    assert "'# beampower trace v1'" in capsys.readouterr().err
+    text = trace.read_text()
+    # v2 too: it repeated the run on every row and echoed the cell layout
+    for old in ("v1", "v2"):
+        trace.write_text(text.replace(sim.TRACE_VERSION, f"# beampower trace {old}"))
+        assert cli.main(["report", "--dir", str(out)]) == 2
+        assert f"'# beampower trace {old}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper", ["repeat", "skip"])
@@ -176,38 +186,24 @@ def test_report_and_ccdf_reject_steps_out_of_order(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert cli.main(["report", "--dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "trace_fpa_M1_s2.csv" in err and f"episode {last[5]} " in err
+    assert "trace_fpa_M1_s2.csv" in err and f"episode {last[1]} " in err
     assert cli.main(["ccdf", "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert "trace_fpa_M1_s2.csv" in err and f"episode {last[5]} " in err
+    assert "trace_fpa_M1_s2.csv" in err and f"episode {last[1]} " in err
 
 
 def _tamper(rows, how):
     """Edit the trace rows (lists of fields) as ``how`` says; return the
     index of the row the reader should name."""
-    if how == "other_seed":
-        rows[-1][4] = "9"
-        return len(rows) - 1
-    if how in ("every_q", "every_m"):
-        col, val = (2, "1") if how == "every_q" else (3, "4")
-        for row in rows:
-            row[col] = val
-        return 0
     if how == "torn":
         del rows[-1][-3:]
         return len(rows) - 1
-    rows[0][15] = "abc"          # the reward of the first row
+    rows[0][sim.TRACE_COLUMNS.index("reward")] = "abc"
     return 0
 
 
 _BAD_ROWS = {
-    "other_seed": "expected engine,q,m,seed = fpa,0,1,2 as on line {first}, "
-                  "found fpa,0,1,9",
-    "every_q": "expected q = 0 and M in (1,), as the header's config has, "
-               "found q = 1, M = 1",
-    "every_m": "expected q = 0 and M in (1,), as the header's config has, "
-               "found q = 0, M = 4",
-    "torn": "expected 17 fields, found 14",
+    "torn": "expected 13 fields, found 10",
     "non_numeric": "expected a number in every step column, "
                    "could not convert string to float: 'abc'",
 }
@@ -224,8 +220,38 @@ def test_report_and_ccdf_name_the_line_of_a_bad_row(tmp_path, capsys, how):
     bad = first + _tamper(rows, how)
     trace.write_text("\n".join(lines[:first] + [",".join(r) for r in rows]) + "\n")
     # line numbers count from 1, so the first row is line first + 1
-    message = (f"trace_fpa_M1_s2.csv line {bad + 1}: "
-               + _BAD_ROWS[how].format(first=first + 1))
+    message = f"trace_fpa_M1_s2.csv line {bad + 1}: {_BAD_ROWS[how]}"
+    capsys.readouterr()
+    assert cli.main(["report", "--dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(["ccdf", "--trace", str(trace)]) == 2
+    assert message in capsys.readouterr().err
+
+
+_EXPECTED_RUN_LINE = "expected the run line '# run engine = E, m = M, seed = S'"
+# how the header's run line is replaced (None: deleted) -> what the reader says
+_BAD_RUN_LINES = {
+    "no_run_line": (None, f"{_EXPECTED_RUN_LINE}, found '# config_hash = "),
+    "malformed_run_line": ("# run engine = fpa, m = 1",
+                           f"{_EXPECTED_RUN_LINE}, found '# run engine = fpa, m = 1'"),
+    "unknown_engine": ("# run engine = genie, m = 1, seed = 2",
+                       "unknown engine 'genie', expected one of "
+                       "('fpa', 'tabular', 'dqn', 'brute_force')"),
+    "m_outside_m_list": ("# run engine = fpa, m = 4, seed = 2",
+                         "expected M in (1,), as the header's config has, found M = 4"),
+}
+
+
+@pytest.mark.parametrize("how", list(_BAD_RUN_LINES))
+def test_report_and_ccdf_name_the_line_of_a_bad_run_line(tmp_path, capsys, how):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", _tiny_voice_cfg(tmp_path), "--out", str(out)]) == 0
+    trace = out / "trace_fpa_M1_s2.csv"
+    lines = trace.read_text().splitlines()
+    line, said = _BAD_RUN_LINES[how]
+    lines[1:2] = [] if line is None else [line]
+    trace.write_text("\n".join(lines) + "\n")
+    message = f"trace_fpa_M1_s2.csv line 2: {said}"
     capsys.readouterr()
     assert cli.main(["report", "--dir", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -290,6 +316,33 @@ def test_ccdf_subcommand_emits_curve(tmp_path):
     assert lines[1] == "threshold_db,prob"
     probs = [float(l.split(",")[1]) for l in lines[2:]]
     assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
+def test_ccdf_all_steps_pools_every_step_aborted_episodes_included(tmp_path,
+                                                                   monkeypatch):
+    out = tmp_path / "out"
+    # seed 4's first two episodes abort after one step each
+    cfg = _write_cfg(tmp_path, "q = 0\nengines = fpa\nseeds = 4\nepisode_cap = 3\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    trace = out / "trace_fpa_M1_s4.csv"
+    config, run = read_trace(trace)
+    assert [e.aborted for e in run.episodes] == [True, True, False]
+    pooled, real = [], sim.ccdf
+    monkeypatch.setattr(sim, "ccdf", lambda samples: pooled.append(samples) or real(samples))
+    curve = tmp_path / "curve.csv"
+    assert cli.main(["ccdf", "--trace", str(trace), "--all-steps",
+                     "--out", str(curve)]) == 0
+    # both UEs' effective SINRs of every row, in the trace's order
+    lines = trace.read_text().splitlines()
+    columns = lines.index(",".join(sim.TRACE_COLUMNS))
+    at = [sim.TRACE_COLUMNS.index(c) for c in ("eff_sinr_ell_db", "eff_sinr_b_db")]
+    rows = [line.split(",") for line in lines[columns + 1:]]
+    [samples] = pooled
+    assert len(samples) == 2 * run.steps_total == 2 * len(rows)
+    assert samples == [float(row[i]) for row in rows for i in at]
+    lines = curve.read_text().splitlines()
+    assert lines[:2] == [f"# config_hash = {config.config_hash()}", "threshold_db,prob"]
+    assert lines[2:] == [f"{sim.fmt(t)},{sim.fmt(p)}" for t, p in real(samples)]
 
 
 def test_oracle_subcommand_forces_brute_force_engine(tmp_path):
@@ -406,16 +459,23 @@ def _tamper_golden(golden: Path, how: str) -> str:
     if how == "stray_ccdf":
         (golden / "ccdf_dqn_M4_s9.csv").write_text("# config_hash = 0\neff_sinr_db\n")
         return "ccdf_dqn_M4_s9.csv: no golden run writes it"
-    if how == "missing_ccdf":
-        (golden / "ccdf_tabular_M1_s7.csv").unlink()
-        return "trace_tabular_M1_s7.csv: ccdf_tabular_M1_s7.csv has no golden copy"
+    if how == "missing_summary":
+        (golden / "summary.csv").unlink()
+        return "trace_tabular_M1_s7.csv: summary.csv has no golden copy"
+    if how == "stray_summary_row":
+        summary = golden / "summary.csv"
+        lines = summary.read_text().splitlines()
+        row = lines[1].split(",")
+        row[1:3] = ["8", "9"]               # M and seed of no golden run
+        summary.write_text("\n".join(lines + [",".join(row)]) + "\n")
+        return f"summary.csv row ('{row[0]}', '8', '9'): no golden run writes it"
     for trace in golden.glob("trace_*.csv"):
         trace.unlink()
     return f"{golden}: no golden trace"
 
 
-@pytest.mark.parametrize("how", ["step_float", "stray_ccdf", "missing_ccdf",
-                                 "no_trace"])
+@pytest.mark.parametrize("how", ["step_float", "stray_ccdf", "missing_summary",
+                                 "stray_summary_row", "no_trace"])
 def test_verify_fails_naming_the_tampered_golden_file(tmp_path, monkeypatch, capsys,
                                                       how):
     golden = tmp_path / "golden"

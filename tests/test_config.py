@@ -65,7 +65,7 @@ def test_a_float_field_given_an_int_serialises_as_its_text():
     assert made.config_hash() == read.config_hash()
     assert type(made.max_power_dbm) is float
     assert {type(p) for p in made.oracle_power_grid} == {float}
-    rows = [trace_rows(run_experiment(cfg, 4, 1, "brute_force"), cfg)
+    rows = [trace_rows(run_experiment(cfg, 4, 1, "brute_force"))
             for cfg in (made, read)]
     assert rows[0] == rows[1]
 

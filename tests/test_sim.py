@@ -13,7 +13,6 @@ from beampower import radio, sim
 from beampower.channel import (ChannelModel, bearing, draw_link_fading, path_loss_terms,
                                steering_vector)
 from beampower.config import ConfigError, NetworkConfig
-from beampower.geometry import build_layout
 from beampower.oracle import SearchSpace, brute_force
 from beampower.sim import (
     TwoCellEnv,
@@ -45,7 +44,7 @@ def test_identical_runs_produce_identical_traces():
     cfg = _voice_cfg()
     a = run_experiment(cfg, 1, 3, "fpa")
     b = run_experiment(cfg, 1, 3, "fpa")
-    assert trace_rows(a, cfg) == trace_rows(b, cfg)
+    assert trace_rows(a) == trace_rows(b)
 
 
 def test_channels_are_engine_independent():
@@ -480,7 +479,8 @@ def test_backhaul_message_count():
 
 def _written_trace(tmp_path, cfg, run):
     path = tmp_path / "trace.csv"
-    write_trace(path, trace_header(cfg.to_text(), build_layout(cfg)), trace_rows(run, cfg))
+    write_trace(path, trace_header(cfg.to_text(), run.engine, run.m, run.seed),
+                trace_rows(run))
     return path
 
 
@@ -513,7 +513,6 @@ def test_trace_round_trip(tmp_path, cfg, m, engine):
     # and the summary rows are equal on everything except wall-clock fields
     direct = summarize_run(cfg, run)
     recomputed = summarize_run(cfg_back, back)
-    assert direct["ccdf_file"] == f"ccdf_{engine}_M{m}_s3.csv"
     for key, val in direct.items():
         if key not in sim.TIMING_COLUMNS:
             assert recomputed[key] == val, key
@@ -522,7 +521,7 @@ def test_trace_round_trip(tmp_path, cfg, m, engine):
 def test_a_trace_without_rows_reads_as_no_run(tmp_path):
     cfg = _voice_cfg()
     path = tmp_path / "trace.csv"
-    write_trace(path, trace_header(cfg.to_text(), build_layout(cfg)), [])
+    write_trace(path, trace_header(cfg.to_text(), "fpa", 1, 3), [])
     assert read_trace(path) == (cfg, None)
 
 
@@ -552,11 +551,13 @@ def test_reading_a_trace_holds_its_steps_compactly(tmp_path):
 
 def test_read_trace_rejects_other_versions(tmp_path):
     cfg = _voice_cfg()
-    header = trace_header(cfg.to_text(), build_layout(cfg))
+    header = trace_header(cfg.to_text(), "fpa", 1, 3)
     path = tmp_path / "trace.csv"
-    write_trace(path, header.replace(sim.TRACE_VERSION, "# beampower trace v1"), [])
-    with pytest.raises(ValueError, match=r"trace\.csv.*'# beampower trace v1'"):
-        read_trace(path)
+    for old in ("v1", "v2"):
+        write_trace(path, header.replace(sim.TRACE_VERSION, f"# beampower trace {old}"),
+                    [])
+        with pytest.raises(ValueError, match=rf"trace\.csv.*'# beampower trace {old}'"):
+            read_trace(path)
 
 
 def test_learning_engines_run_and_log_losses():
